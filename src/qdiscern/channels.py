@@ -1,6 +1,12 @@
 """Global and local operations: eigenbasis dephasing, the conditional
 phase gate on the environment's channel 1, and local system unitaries
-(half-wave plate rotations)."""
+(half-wave plate rotations).
+
+The array functions (`lift`, `eigenprojectors`, `pinch`, `evolve`,
+`rotate`) work on stacked two-qubit states (..., 4, 4) and system
+operators (..., 2, 2) without validation; the public `DensityMatrix`
+functions are thin calls into them.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, herm_eig, kron, partial_trace
+from .linalg import DEGENERACY_GAP, DensityMatrix, kron, partial_trace, two_qubit
 from .states import KET_H, projector
 
 UNITARY_TOL = 1e-9
@@ -43,53 +49,87 @@ def half_wave_plate(alpha: float) -> np.ndarray:
     return np.array([[c, s], [s, -c]], dtype=complex)
 
 
+def _gate_diagonal(phi) -> np.ndarray:
+    """Diagonal (..., 4) of U(phi), stacked along the leading axes of phi."""
+    e = np.exp(1j * np.asarray(phi, dtype=float))
+    one = np.ones_like(e)
+    return np.stack([one, e, one, one], axis=-1)
+
+
 def phase_gate(phi: float) -> np.ndarray:
     """U(phi) = 1 x |0><0| + Diag(e^{i phi}, 1) x |1><1| (system first)."""
-    e0 = np.diag([1.0, 0.0]).astype(complex)
-    e1 = np.diag([0.0, 1.0]).astype(complex)
-    d = np.diag([np.exp(1j * phi), 1.0])
-    return kron(np.eye(2), e0) + kron(d, e1)
+    return np.diag(_gate_diagonal(phi))
+
+
+def lift(op: np.ndarray) -> np.ndarray:
+    """System operators (..., 2, 2) on the two-qubit space: op x 1."""
+    return kron(op, np.eye(2))
+
+
+def eigenprojectors(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projectors (..., 2, 2) onto the leading eigenvector of each system
+    marginal of rho (..., 4, 4), and where that marginal is degenerate.
+
+    A degenerate marginal has no preferred eigenbasis; by convention it
+    gets |H><H|.
+    """
+    w, v = np.linalg.eigh(partial_trace(rho, 0))
+    lead = v[..., :, 1]
+    projs = lead[..., :, None] * lead.conj()[..., None, :]
+    degenerate = w[..., 1] - w[..., 0] < DEGENERACY_GAP
+    projs[degenerate] = projector(KET_H)
+    return projs, degenerate
+
+
+def pinch(rho: np.ndarray, projs: np.ndarray) -> np.ndarray:
+    """Dephase rho (..., 4, 4) in the system bases {Pi, 1-Pi} (lifted as Pi x 1)."""
+    p = lift(projs)
+    q = lift(np.eye(2) - projs)
+    return p @ rho @ p + q @ rho @ q
+
+
+def evolve(rho: np.ndarray, phi) -> np.ndarray:
+    """U(phi) rho U(phi)^dagger; U is diagonal, so this is elementwise."""
+    u = _gate_diagonal(phi)
+    return u[..., :, None] * rho * u.conj()[..., None, :]
+
+
+def rotate(rho: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(V x 1) rho (V x 1)^dagger."""
+    w = lift(v)
+    return w @ rho @ np.swapaxes(w.conj(), -1, -2)
+
+
+def system_unitary(v) -> np.ndarray:
+    """v as a complex (2, 2) array; ValueError unless it is a system unitary."""
+    v = np.asarray(v, dtype=complex)
+    if v.shape != (2, 2):
+        raise ValueError("unitary dimension does not match the system factor")
+    if np.abs(v.conj().T @ v - np.eye(2)).max() > UNITARY_TOL:
+        raise ValueError("v is not unitary")
+    return v
 
 
 def system_eigenprojector(rho_se: DensityMatrix) -> Projector:
-    """Projector onto the leading eigenvector of the system marginal.
-
-    A degenerate marginal has no preferred eigenbasis; by convention we
-    fall back to |H><H| and flag the result.
-    """
-    if rho_se.dims != (2, 2):
-        raise ValueError(f"expected a 2x2-subsystem bipartite state, dims {rho_se.dims}")
-    marg = partial_trace(rho_se, 0)
-    eig = herm_eig(marg.mat)
-    if eig.degenerate:
-        return Projector(projector(KET_H), degenerate_source=True)
-    v = eig.eigenvectors[:, 0]
-    return Projector(np.outer(v, v.conj()), degenerate_source=False)
+    """Projector onto the leading eigenvector of the system marginal,
+    |H><H| and flagged if the marginal is degenerate."""
+    proj, degenerate = eigenprojectors(two_qubit(rho_se))
+    return Projector(proj, degenerate_source=bool(degenerate))
 
 
 def dephase(rho_se: DensityMatrix, proj: Projector) -> DensityMatrix:
     """Pinch the state in the system basis {Pi, 1-Pi} (lifted as Pi x 1)."""
-    d_env = rho_se.dims[1]
-    if proj.matrix.shape[0] != rho_se.dims[0]:
+    r = two_qubit(rho_se)
+    if proj.matrix.shape != (2, 2):
         raise ValueError("projector dimension does not match the system factor")
-    p = kron(proj.matrix, np.eye(d_env))
-    q = kron(proj.complement, np.eye(d_env))
-    out = p @ rho_se.mat @ p + q @ rho_se.mat @ q
-    return DensityMatrix(out, rho_se.dims)
+    return DensityMatrix(pinch(r, proj.matrix), rho_se.dims)
 
 
 def phase_gate_evolve(rho_se: DensityMatrix, phi: float) -> DensityMatrix:
     """Conjugate by the conditional phase gate U(phi)."""
-    u = phase_gate(phi)
-    return DensityMatrix(u @ rho_se.mat @ u.conj().T, rho_se.dims)
+    return DensityMatrix(evolve(two_qubit(rho_se), phi), rho_se.dims)
 
 
 def apply_local_system(rho_se: DensityMatrix, v: np.ndarray) -> DensityMatrix:
     """(V x 1) rho (V^dagger x 1); leaves the environment marginal unchanged."""
-    v = np.asarray(v, dtype=complex)
-    if np.abs(v.conj().T @ v - np.eye(v.shape[0])).max() > UNITARY_TOL:
-        raise ValueError("v is not unitary")
-    if v.shape[0] != rho_se.dims[0]:
-        raise ValueError("unitary dimension does not match the system factor")
-    w = kron(v, np.eye(rho_se.dims[1]))
-    return DensityMatrix(w @ rho_se.mat @ w.conj().T, rho_se.dims)
+    return DensityMatrix(rotate(two_qubit(rho_se), system_unitary(v)), rho_se.dims)

@@ -13,16 +13,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import numbers
 import sys
 
 import numpy as np
 
 from . import kernels
-from .channels import half_wave_plate
+from .channels import eigenprojectors, half_wave_plate
 from .linalg import NumericalError
-from .protocol import ProtocolConfig, classify_simulated
-from .states import FamilyParams, make_qc
-from .witness import discord_T, witness_Td, witness_growth
+from .protocol import ProtocolConfig, classify, classify_simulated
+from .states import FamilyParams, qc_matrices
+from .witness import discord_values, growth_values, td_values
 
 _CLASSIFY_DEFAULTS = {
     "phi": float(np.pi),
@@ -35,27 +37,36 @@ _CLASSIFY_DEFAULTS = {
     "exact_epsilon": 1e-9,
     "retry_phis": "",
 }
+_FAMILY_DEFAULTS = {"family": None, "lambda": None, "theta": None}
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _check_finite(name: str, *values):
+    if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in values):
+        raise ValueError(f"not a finite number: {name} = {', '.join(map(repr, values))}")
+
+
 def _parse_grid(text: str) -> np.ndarray:
     try:
         start, stop, count = text.split(":")
-        count = int(count)
+        start, stop, count = float(start), float(stop), int(count)
         if count < 2:
             raise ValueError
-        return np.linspace(float(start), float(stop), count)
     except ValueError:
         raise ValueError(f"grid must be start:stop:count with count >= 2, got {text!r}")
+    _check_finite("grid endpoints", start, stop)
+    return np.linspace(start, stop, count)
 
 
 def _parse_phis(text: str) -> tuple:
     if not text:
         return ()
-    return tuple(float(p) for p in text.split(","))
+    phis = tuple(float(p) for p in text.split(","))
+    _check_finite("phases", *phis)
+    return phis
 
 
 def _load_config(path: str | None) -> dict:
@@ -80,12 +91,13 @@ def _resolve(args, defaults: dict) -> dict:
     return out
 
 
-def _family_params(args, file_cfg_theta_ok=True) -> FamilyParams:
-    if args.family is None:
+def _family_params(opts: dict) -> FamilyParams:
+    """The family state from resolved `family`, `lambda` and `theta` options."""
+    if opts["family"] is None:
         raise ValueError("--family is required")
-    if args.lam is None:
+    if opts["lambda"] is None:
         raise ValueError("--lambda is required")
-    return FamilyParams(args.family.upper(), args.lam, args.theta or 0.0)
+    return FamilyParams(str(opts["family"]).upper(), float(opts["lambda"]), float(opts["theta"] or 0.0))
 
 
 def _write_lines(lines: list[str], output: str | None):
@@ -98,8 +110,8 @@ def _write_lines(lines: list[str], output: str | None):
 
 
 def cmd_classify(args) -> int:
-    opts = _resolve(args, _CLASSIFY_DEFAULTS)
-    params = _family_params(args)
+    opts = _resolve(args, {**_CLASSIFY_DEFAULTS, **_FAMILY_DEFAULTS})
+    params = _family_params(opts)
     config = ProtocolConfig(
         phi=opts["phi"],
         hwp_angle=opts["hwp_angle"],
@@ -113,7 +125,6 @@ def cmd_classify(args) -> int:
         emit_states=bool(args.emit_states),
     )
     if config.mode == "exact":
-        from .protocol import classify
         result = classify(params.build(), config, digest=params.to_json())
     else:
         result = classify_simulated(params, config)
@@ -134,6 +145,8 @@ def cmd_sweep(args) -> int:
         raise ValueError("grids must lie within lambda in [0,1], theta in [0, pi/2]")
     quantity = opts["quantity"]
     phi = opts["phi"]
+    _check_finite("phi", phi)
+    _check_finite("hwp_angle", opts["hwp_angle"])
     hwp = half_wave_plate(opts["hwp_angle"])
 
     resolved = {
@@ -142,50 +155,45 @@ def cmd_sweep(args) -> int:
         "lambda_grid": args.lambda_grid, "theta_grid": args.theta_grid,
     }
     lines = ["# " + json.dumps(resolved, sort_keys=True)]
+    lines.append("lambda,theta,phi,T,Td,growth" if quantity == "all" else "lambda,theta,phi,value")
 
     td_grid = kernels.td_qc_grid(lams, thetas, phi) if quantity in ("Td", "all") else None
-    if quantity == "all":
-        lines.append("lambda,theta,phi,T,Td,growth")
-    else:
-        lines.append("lambda,theta,phi,value")
+    row_prefixes = [f"{_fmt(theta)},{_fmt(phi)}" for theta in thetas]
     for i, lam in enumerate(lams):
-        for j, theta in enumerate(thetas):
-            prefix = f"{_fmt(lam)},{_fmt(theta)},{_fmt(phi)}"
-            if quantity == "Td":
-                lines.append(f"{prefix},{_fmt(td_grid[i, j])}")
-                continue
-            rho = make_qc(float(lam), float(theta))
-            if quantity == "T":
-                lines.append(f"{prefix},{_fmt(discord_T(rho).value)}")
-            elif quantity == "growth":
-                lines.append(f"{prefix},{_fmt(witness_growth(rho, hwp, phi).value)}")
-            else:
-                t = discord_T(rho).value
-                g = witness_growth(rho, hwp, phi).value
-                lines.append(f"{prefix},{_fmt(t)},{_fmt(td_grid[i, j])},{_fmt(g)}")
+        # one lambda row at a time keeps the stacked states at len(thetas) x 4 x 4
+        columns = []
+        if quantity != "Td":
+            rho = qc_matrices(lam, thetas)
+        if quantity in ("T", "all"):
+            columns.append(discord_values(rho, eigenprojectors(rho)[0]))
+        if quantity in ("Td", "all"):
+            columns.append(td_grid[i])
+        if quantity in ("growth", "all"):
+            columns.append(growth_values(rho, hwp, phi))
+        lam_s = _fmt(lam)
+        for prefix, *values in zip(row_prefixes, *(c.tolist() for c in columns)):
+            lines.append(",".join([lam_s, prefix, *map(repr, values)]))
     _write_lines(lines, args.output)
     return 0
 
 
 def cmd_phase_scan(args) -> int:
-    defaults = {"hwp_angle": float(np.pi / 8)}
-    _resolve(args, defaults)
-    params = _family_params(args)
+    params = _family_params(_resolve(args, _FAMILY_DEFAULTS))
     phis = _parse_phis(args.phis)
     if not phis:
         raise ValueError("--phis must list at least one angle")
-    rho = params.build()
+    rho = params.build().mat
+    values = td_values(rho, np.array(phis), eigenprojectors(rho)[0])
     resolved = {"command": "phase-scan", "family_params": params.to_json(), "phis": list(phis)}
     lines = ["# " + json.dumps(resolved, sort_keys=True), "phi,value"]
-    for phi in phis:
-        lines.append(f"{_fmt(phi)},{_fmt(witness_Td(rho, phi).value)}")
+    lines += [f"{_fmt(phi)},{_fmt(v)}" for phi, v in zip(phis, values)]
     _write_lines(lines, args.output)
     return 0
 
 
 def _add_family_flags(p: argparse.ArgumentParser):
     p.add_argument("--family", choices=["cc", "qc", "f", "CC", "QC", "F"])
-    p.add_argument("--lambda", dest="lam", type=float, help="weight lambda in [0,1]")
+    p.add_argument("--lambda", dest="lambda", type=float, help="weight lambda in [0,1]")
     p.add_argument("--theta", type=float, help="QC rotation angle in [0, pi/2] (radians)")
 
 

@@ -1,40 +1,43 @@
-"""Fast closed-form evaluation of the phase-gate discord witness over the
-QC state family, used by parameter sweeps.
+"""Closed-form evaluation of the phase-gate discord witness over the QC
+state family, used by `Td` parameter sweeps.
 
 The QC states are block diagonal in the environment, so the witness at a
-point (lambda, theta, phi) reduces to 2x2 real/complex algebra:
+point (lambda, theta, phi) reduces to real 2x2 algebra on broadcast numpy
+arrays, with no 4x4 state ever built:
 
 * system marginal Bloch vector -> leading eigenprojector Pi (degenerate
-  marginals fall back to |H><H|, matching ``channels.system_eigenprojector``),
+  marginals fall back to |H><H|, matching ``channels.eigenprojectors``),
 * per-block coherence removal C_X = pinch(X) - X,
 * the phase gate multiplies channel-1 off-diagonals by e^{i phi},
 * Td = sqrt(a^2 + |b|^2) for the traceless Hermitian marginal difference.
 
-Hot loops are compiled with numba when available; set QDISCERN_NO_NUMBA=1
-to force the pure-numpy fallback. ``benchmarks/bench_kernels.py`` compares
-the two paths.
+``witness.td_values`` on ``states.qc_matrices`` is the generic form of the
+same quantity; the tests hold the two equal.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DEG_TOL = 1e-9  # Bloch radius below which the marginal counts as degenerate
+from .linalg import DEGENERACY_GAP, check_finite
+
+BACKEND = "numpy"
 
 
-def _td_qc_points_numpy(lams: np.ndarray, thetas: np.ndarray, phi: float) -> np.ndarray:
-    """Vectorized fallback; lams/thetas are broadcast-compatible arrays."""
-    lams = np.asarray(lams, dtype=float)
-    thetas = np.asarray(thetas, dtype=float)
+def td_qc_points(lams, thetas, phi: float) -> np.ndarray:
+    """Discord witness Td for QC(lambda_i, theta_i) at phase phi, elementwise."""
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    if lams.shape != thetas.shape:
+        raise ValueError("lams and thetas must have matching shapes")
+    phi = float(phi)
     c, s = np.cos(thetas), np.sin(thetas)
     w = 1.0 - lams
 
     bx = 2.0 * w * c * s
     bz = lams + w * (c * c - s * s)
     r = np.hypot(bx, bz)
-    deg = r < _DEG_TOL
+    deg = r < DEGENERACY_GAP
     rs = np.where(deg, 1.0, r)
     nx = np.where(deg, 0.0, bx / rs)
     nz = np.where(deg, 1.0, bz / rs)
@@ -55,75 +58,7 @@ def _td_qc_points_numpy(lams: np.ndarray, thetas: np.ndarray, phi: float) -> np.
 
     a = lams * c0_00 + w * c1_00
     b = lams * c0_01 + w * np.exp(1j * phi) * c1_01
-    return np.sqrt(a * a + np.abs(b) ** 2)
-
-
-def _want_numba() -> bool:
-    return os.environ.get("QDISCERN_NO_NUMBA", "") in ("", "0")
-
-
-NUMBA_ENABLED = False
-if _want_numba():
-    try:
-        import numba
-
-        @numba.njit(cache=True)
-        def _td_qc_points_numba(lams, thetas, phi):  # pragma: no cover - compiled
-            n = lams.shape[0]
-            out = np.empty(n)
-            cphi = np.cos(phi)
-            sphi = np.sin(phi)
-            for i in range(n):
-                lam = lams[i]
-                w = 1.0 - lam
-                c = np.cos(thetas[i])
-                s = np.sin(thetas[i])
-                bx = 2.0 * w * c * s
-                bz = lam + w * (c * c - s * s)
-                r = np.hypot(bx, bz)
-                if r < _DEG_TOL:
-                    nx, nz = 0.0, 1.0
-                else:
-                    nx, nz = bx / r, bz / r
-                p00 = (1.0 + nz) / 2.0
-                p11 = (1.0 - nz) / 2.0
-                p01 = nx / 2.0
-                q00, q11, q01 = p11, p00, -p01
-
-                # C_X = -(Pi X Q + Q X Pi) for X = |H><H| and |theta><theta|
-                c0_00 = -2.0 * ((p00 * 1.0 + p01 * 0.0) * q00 + (p00 * 0.0 + p01 * 0.0) * q01)
-                m01 = (p00 * 1.0 + p01 * 0.0) * q01 + (p00 * 0.0 + p01 * 0.0) * q11
-                m10 = (p01 * 1.0 + p11 * 0.0) * q00 + (p01 * 0.0 + p11 * 0.0) * q01
-                c0_01 = -(m01 + m10)
-
-                x00, x01, x11 = c * c, c * s, s * s
-                c1_00 = -2.0 * ((p00 * x00 + p01 * x01) * q00 + (p00 * x01 + p01 * x11) * q01)
-                m01 = (p00 * x00 + p01 * x01) * q01 + (p00 * x01 + p01 * x11) * q11
-                m10 = (p01 * x00 + p11 * x01) * q00 + (p01 * x01 + p11 * x11) * q01
-                c1_01 = -(m01 + m10)
-
-                a = lam * c0_00 + w * c1_00
-                bre = lam * c0_01 + w * cphi * c1_01
-                bim = w * sphi * c1_01
-                out[i] = np.sqrt(a * a + bre * bre + bim * bim)
-            return out
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        pass
-
-BACKEND = "numba" if NUMBA_ENABLED else "numpy"
-
-
-def td_qc_points(lams, thetas, phi: float) -> np.ndarray:
-    """Discord witness Td for QC(lambda_i, theta_i) at phase phi, elementwise."""
-    lams = np.ascontiguousarray(np.atleast_1d(np.asarray(lams, dtype=float)))
-    thetas = np.ascontiguousarray(np.atleast_1d(np.asarray(thetas, dtype=float)))
-    if lams.shape != thetas.shape:
-        raise ValueError("lams and thetas must have matching shapes")
-    if NUMBA_ENABLED:
-        return _td_qc_points_numba(lams.ravel(), thetas.ravel(), float(phi)).reshape(lams.shape)
-    return _td_qc_points_numpy(lams, thetas, float(phi))
+    return check_finite(np.sqrt(a * a + np.abs(b) ** 2), "witness Td")
 
 
 def td_qc_grid(lams, thetas, phi: float) -> np.ndarray:

@@ -1,13 +1,13 @@
 """Dense complex linear algebra for small bipartite systems.
 
-Everything here operates on plain numpy arrays; `DensityMatrix` is a thin
-validated wrapper carrying the subsystem dimensions (system first,
-environment second).
+Everything here operates on plain numpy arrays, stacked along leading axes
+where noted; `DensityMatrix` is a thin validated wrapper carrying the
+subsystem dimensions (system first, environment second).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,14 @@ DEGENERACY_GAP = 1e-9
 
 class NumericalError(ArithmeticError):
     """An internal numerical consistency check failed."""
+
+
+def check_finite(values, what: str) -> np.ndarray:
+    """Return `values` as an array; raise NumericalError if any entry is not finite."""
+    values = np.asarray(values)
+    if not np.isfinite(values).all():
+        raise NumericalError(f"{what} is not finite")
+    return values
 
 
 def _as_array(m) -> np.ndarray:
@@ -106,30 +114,37 @@ def matrix_from_json(d: dict) -> np.ndarray:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product; composite row index = s*b.rows + e."""
-    return np.kron(_as_array(a), _as_array(b))
+    """Kronecker product of stacked (..., m, n) and (..., p, q) matrices;
+    composite row index = s*p + e."""
+    a, b = _as_array(a), _as_array(b)
+    out = np.einsum("...ij,...kl->...ikjl", a, b)
+    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
-def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
-    """Marginal of a bipartite state on subsystem `keep` (0 = system)."""
-    if len(rho.dims) != 2:
-        raise ValueError(f"partial_trace needs a bipartite state, dims {rho.dims}")
+def two_qubit(rho: DensityMatrix) -> np.ndarray:
+    """The (4, 4) matrix of a state with dims (2, 2); ValueError for any other."""
+    if rho.dims != (2, 2):
+        raise ValueError(f"expected a 2x2-subsystem bipartite state, dims {rho.dims}")
+    return rho.mat
+
+
+def partial_trace(rho, keep: int):
+    """Marginal of a bipartite state on subsystem `keep` (0 = system).
+
+    A DensityMatrix gives a validated DensityMatrix. A stacked (..., 4, 4)
+    two-qubit array gives the unvalidated (..., 2, 2) marginals.
+    """
     if keep not in (0, 1):
         raise ValueError(f"keep must be 0 or 1, got {keep}")
-    d0, d1 = rho.dims
-    t = rho.mat.reshape(d0, d1, d0, d1)
-    if keep == 0:
-        marg = np.trace(t, axis1=1, axis2=3)
-    else:
-        marg = np.trace(t, axis1=0, axis2=2)
-    return DensityMatrix(marg, (rho.dims[keep],))
-
-
-def partial_trace_mat(rho: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
-    """partial_trace on a raw array, without density-matrix validation."""
+    wrapped = isinstance(rho, DensityMatrix)
+    dims = rho.dims if wrapped else (2, 2)
+    if len(dims) != 2:
+        raise ValueError(f"partial_trace needs a bipartite state, dims {dims}")
+    m = rho.mat if wrapped else np.asarray(rho)
     d0, d1 = dims
-    t = rho.reshape(d0, d1, d0, d1)
-    return np.trace(t, axis1=1, axis2=3) if keep == 0 else np.trace(t, axis1=0, axis2=2)
+    t = m.reshape(*m.shape[:-2], d0, d1, d0, d1)
+    marg = np.trace(t, axis1=-3, axis2=-1) if keep == 0 else np.trace(t, axis1=-4, axis2=-2)
+    return DensityMatrix(marg, (dims[keep],)) if wrapped else marg
 
 
 def herm_eig(h) -> HermEigResult:
@@ -154,9 +169,9 @@ def herm_eig(h) -> HermEigResult:
     return HermEigResult(w, v, degenerate)
 
 
-def trace_norm(m) -> float:
-    """Sum of absolute eigenvalues (Hermitian input)."""
-    return float(np.abs(np.linalg.eigvalsh(_as_array(m))).sum())
+def trace_norm(m):
+    """Sum of absolute eigenvalues of Hermitian (..., d, d) input."""
+    return np.abs(np.linalg.eigvalsh(_as_array(m))).sum(axis=-1)
 
 
 def trace_distance(a, b) -> float:
@@ -164,13 +179,12 @@ def trace_distance(a, b) -> float:
     a, b = _as_array(a), _as_array(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return 0.5 * trace_norm(a - b)
+    return float(trace_distances(a, b))
 
 
 def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Batched trace distance over stacked (..., d, d) Hermitian arrays."""
-    w = np.linalg.eigvalsh(a - b)
-    return 0.5 * np.abs(w).sum(axis=-1)
+    return 0.5 * trace_norm(a - b)
 
 
 def random_density(rng: np.random.Generator, dim: int, dims=None) -> DensityMatrix:

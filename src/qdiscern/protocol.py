@@ -25,23 +25,22 @@ reproduces every count, estimate and verdict bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Projector, apply_local_system, dephase, half_wave_plate, phase_gate, phase_gate_evolve, system_eigenprojector
-from .linalg import DensityMatrix, partial_trace, partial_trace_mat, trace_distance, trace_distances
+from .channels import eigenprojectors, evolve, half_wave_plate, pinch, rotate
+from .linalg import DensityMatrix, check_finite, partial_trace, trace_distances, two_qubit
 from .states import FamilyParams
 from .tomography import (
     default_settings,
-    outcome_probabilities,
-    reconstruct,
     reconstruct_batch,
-    sample_frequencies,
     sample_reconstructions,
     simulate_counts,
 )
-from .witness import CORRELATION_WITNESS, DISCORD_WITNESS, WitnessReport, witness_Td, witness_growth
+from .witness import CORRELATION_WITNESS, DISCORD_WITNESS, WitnessReport, growth_values, td_values
 
 VERDICT_QC = "QC"
 VERDICT_CC = "CC"
@@ -64,6 +63,12 @@ class ProtocolConfig:
     emit_states: bool = False
 
     def __post_init__(self):
+        floats = {"phi": self.phi, "hwp_angle": self.hwp_angle,
+                  "threshold_sigma": self.threshold_sigma, "exact_epsilon": self.exact_epsilon,
+                  **{f"retry_phis[{i}]": p for i, p in enumerate(self.retry_phis)}}
+        bad = [k for k, v in floats.items() if not (isinstance(v, numbers.Real) and math.isfinite(v))]
+        if bad:
+            raise ValueError(f"not a finite number: {', '.join(bad)}")
         if self.mode not in ("exact", "simulated"):
             raise ValueError(f"mode must be 'exact' or 'simulated', got {self.mode!r}")
         if self.threshold_sigma <= 0 or self.exact_epsilon <= 0:
@@ -82,6 +87,7 @@ class ProtocolConfig:
             "exact_epsilon": self.exact_epsilon,
             "seed": self.seed,
             "retry_phis": list(self.retry_phis),
+            "emit_states": self.emit_states,
         }
 
 
@@ -135,20 +141,20 @@ def _digest(base: dict, config: ProtocolConfig, phi: float) -> dict:
     return d
 
 
-def _classify_exact(rho: DensityMatrix, config: ProtocolConfig, digest: dict) -> ClassificationResult:
-    proj = system_eigenprojector(rho)
-    states: dict = {}
+def _marginals(**states) -> dict:
+    """Validated system marginals of named (4, 4) states, for the caller."""
+    return {k: DensityMatrix(partial_trace(v, 0), (2,)) for k, v in states.items()}
 
-    td_report = None
-    fired_phi = None
-    for phi in (config.phi, *config.retry_phis):
-        rep = witness_Td(rho, phi, proj=proj)
-        if td_report is None:
-            td_report = rep
-        if rep.value > config.exact_epsilon:
-            td_report = rep
-            fired_phi = phi
-            break
+
+def _classify_exact(rho: DensityMatrix, config: ProtocolConfig, digest: dict) -> ClassificationResult:
+    r = two_qubit(rho)
+    proj, degenerate = eigenprojectors(r)
+    degenerate = bool(degenerate)
+    phis = (config.phi, *config.retry_phis)
+    tds = td_values(r, np.array(phis), proj)
+    fired = np.flatnonzero(tds > config.exact_epsilon)
+    k = int(fired[0]) if fired.size else 0
+    td_report = WitnessReport(float(tds[k]), DISCORD_WITNESS, _digest(digest, config, phis[k]), degenerate)
 
     thresholds = {
         "stage1_threshold": config.exact_epsilon,
@@ -156,43 +162,25 @@ def _classify_exact(rho: DensityMatrix, config: ProtocolConfig, digest: dict) ->
         "threshold_sigma": config.threshold_sigma,
         "exact_epsilon": config.exact_epsilon,
     }
-    td_report = WitnessReport(td_report.value, DISCORD_WITNESS,
-                              _digest(digest, config, fired_phi if fired_phi is not None else config.phi),
-                              td_report.degenerate_basis)
-
+    states = None
     if config.emit_states:
-        rho_d = dephase(rho, proj)
-        states["rho_s_0"] = partial_trace(rho, 0)
-        states["rho_s_t"] = partial_trace(phase_gate_evolve(rho, config.phi), 0)
-        states["rho_s_d_t"] = partial_trace(phase_gate_evolve(rho_d, config.phi), 0)
-
-    if fired_phi is not None:
-        return ClassificationResult(VERDICT_QC, td_report, None, proj.degenerate_source,
-                                    thresholds, states if config.emit_states else None)
+        states = _marginals(rho_s_0=r, rho_s_t=evolve(r, config.phi),
+                            rho_s_d_t=evolve(pinch(r, proj), config.phi))
+    if fired.size:
+        return ClassificationResult(VERDICT_QC, td_report, None, degenerate, thresholds, states)
 
     v = half_wave_plate(config.hwp_angle)
-    growth = witness_growth(rho, v, config.phi)
-    growth = WitnessReport(growth.value, CORRELATION_WITNESS, _digest(digest, config, config.phi),
-                           proj.degenerate_source)
+    growth = WitnessReport(float(growth_values(r, v, config.phi)), CORRELATION_WITNESS,
+                           _digest(digest, config, config.phi), degenerate)
     if config.emit_states:
-        rho_u = apply_local_system(rho, v)
-        states["rho_s_u_0"] = partial_trace(rho_u, 0)
-        states["rho_s_u_t"] = partial_trace(phase_gate_evolve(rho_u, config.phi), 0)
+        rho_u = rotate(r, v)
+        states.update(_marginals(rho_s_u_0=rho_u, rho_s_u_t=evolve(rho_u, config.phi)))
 
     verdict = VERDICT_CC if growth.value > config.exact_epsilon else VERDICT_F
-    return ClassificationResult(verdict, td_report, growth, proj.degenerate_source,
-                                thresholds, states if config.emit_states else None)
+    return ClassificationResult(verdict, td_report, growth, degenerate, thresholds, states)
 
 
-def _batch_probabilities(states: np.ndarray, setting) -> np.ndarray:
-    """Born probabilities per stacked state, clipped and renormalized."""
-    projs = np.stack(setting.projectors)
-    p = np.einsum("kij,bji->bk", projs, states).real
-    p = np.clip(p, 0.0, 1.0)
-    return p / p.sum(axis=1, keepdims=True)
-
-
-def _null_td_samples(rho_null: DensityMatrix, phi: float, shots: int, n: int,
+def _null_td_samples(rho_null: np.ndarray, phi: float, shots: int, n: int,
                      settings1, settings2, seeds: tuple[int, int, int]) -> np.ndarray:
     """Stage-1 witness values under the no-discord null.
 
@@ -201,37 +189,18 @@ def _null_td_samples(rho_null: DensityMatrix, phi: float, shots: int, n: int,
     1-qubit tomography of both marginals -> trace distance.
     """
     seed2, seed_m, seed_d = seeds
-    r = rho_null.mat
-
-    probs2 = [outcome_probabilities(r, s) for s in settings2]
-    est2 = reconstruct_batch(settings2, sample_frequencies(probs2, shots, n, seed2))
-
-    margs = np.trace(est2.reshape(n, 2, 2, 2, 2), axis1=2, axis2=4)
-    w, v = np.linalg.eigh(margs)
-    lead = v[:, :, 1]
-    projs = np.einsum("bi,bj->bij", lead, lead.conj())
-    projs[(w[:, 1] - w[:, 0]) < 1e-9] = np.diag([1.0, 0.0])  # degenerate fallback |H><H|
-
-    eye2 = np.eye(2)
-    lifted = np.einsum("bij,kl->bikjl", projs, eye2).reshape(n, 4, 4)
-    comp = np.eye(4) - lifted
-    dephased = lifted @ r @ lifted + comp @ r @ comp
-
-    u = phase_gate(phi)
-    ud = u.conj().T
-    md_t = np.trace((u @ dephased @ ud).reshape(n, 2, 2, 2, 2), axis1=2, axis2=4)
-    m_t = partial_trace_mat(u @ r @ ud, (2, 2), 0)
-
-    probs_m = [outcome_probabilities(m_t, s) for s in settings1]
-    est_m = reconstruct_batch(settings1, sample_frequencies(probs_m, shots, n, seed_m))
-    probs_d = [_batch_probabilities(md_t, s) for s in settings1]
-    est_d = reconstruct_batch(settings1, sample_frequencies(probs_d, shots, n, seed_d))
+    projs, _ = eigenprojectors(sample_reconstructions(rho_null, settings2, shots, n, seed2))
+    m_t = partial_trace(evolve(rho_null, phi), 0)
+    md_t = partial_trace(evolve(pinch(rho_null, projs), phi), 0)
+    est_m = sample_reconstructions(m_t, settings1, shots, n, seed_m)
+    est_d = sample_reconstructions(md_t, settings1, shots, n, seed_d)
     return trace_distances(est_d, est_m)
 
 
 def _classify_simulated(rho: DensityMatrix, config: ProtocolConfig, digest: dict) -> ClassificationResult:
     settings1 = default_settings(1)
     settings2 = default_settings(2)
+    shots, b = config.shots, config.bootstrap_samples
     counter = [0]
 
     def next_seed() -> int:
@@ -239,88 +208,87 @@ def _classify_simulated(rho: DensityMatrix, config: ProtocolConfig, digest: dict
         counter[0] += 1
         return s
 
-    def tomo1(true_marginal: DensityMatrix) -> DensityMatrix:
-        rec = simulate_counts(true_marginal, settings1, config.shots, next_seed())
-        return reconstruct(rec, bootstrap_samples=0).estimate
+    def tomo(true_state: np.ndarray, settings) -> np.ndarray:
+        """One simulated tomography experiment: the reconstructed state."""
+        rec = simulate_counts(true_state, settings, shots, next_seed())
+        return reconstruct_batch(settings, rec.frequencies())
 
+    def marginal_tomo(true_state: np.ndarray) -> np.ndarray:
+        return tomo(partial_trace(true_state, 0), settings1)
+
+    r = two_qubit(rho)
     states: dict = {}
 
     # Pi from full-state tomography, as the experiment extracts it
-    rec0 = simulate_counts(rho, settings2, config.shots, next_seed())
-    rho_hat = reconstruct(rec0, bootstrap_samples=0).estimate
-    proj = system_eigenprojector(rho_hat)
-    rho_d = dephase(rho, proj)
+    rho_hat = tomo(r, settings2)
+    proj, degenerate = eigenprojectors(rho_hat)
+    degenerate = bool(degenerate)
+    rho_d = pinch(r, proj)
+    # the zero-discord surrogate of the estimate, for the stage-1 null
+    rho_null = pinch(rho_hat, proj)
     if config.emit_states:
-        states["rho_se_0_hat"] = rho_hat
+        states["rho_se_0_hat"] = DensityMatrix(rho_hat, (2, 2))
 
-    b = config.bootstrap_samples
     td_report = None
     fired = False
     stage1_threshold = None
     for phi in (config.phi, *config.retry_phis):
-        m_t = tomo1(partial_trace(phase_gate_evolve(rho, phi), 0))
-        md_t = tomo1(partial_trace(phase_gate_evolve(rho_d, phi), 0))
-        td_hat = trace_distance(md_t, m_t)
+        m_t = marginal_tomo(evolve(r, phi))
+        md_t = marginal_tomo(evolve(rho_d, phi))
+        td_hat = float(trace_distances(md_t, m_t))
 
-        # null distribution from the zero-discord surrogate of the estimate
-        rho_null = dephase(rho_hat, proj)
-        td_null = _null_td_samples(rho_null, phi, config.shots, b, settings1, settings2,
+        td_null = _null_td_samples(rho_null, phi, shots, b, settings1, settings2,
                                    (next_seed(), next_seed(), next_seed()))
         threshold = float(td_null.mean() + config.threshold_sigma * td_null.std())
 
         # parametric bootstrap around the two point estimates, for the error bar
-        rep_a = sample_reconstructions(m_t.mat, settings1, config.shots, b, next_seed())
-        rep_b = sample_reconstructions(md_t.mat, settings1, config.shots, b, next_seed())
+        rep_a = sample_reconstructions(m_t, settings1, shots, b, next_seed())
+        rep_b = sample_reconstructions(md_t, settings1, shots, b, next_seed())
         sigma = float(trace_distances(rep_b, rep_a).std())
+        check_finite([td_hat, threshold, sigma], "stage-1 statistic")
 
         rep = WitnessReport(td_hat, DISCORD_WITNESS, _digest(digest, config, phi),
-                            proj.degenerate_source, sigma=sigma)
+                            degenerate, sigma=sigma)
         if td_report is None or td_hat > threshold:
             td_report = rep
             stage1_threshold = threshold
+        if config.emit_states and (td_hat > threshold or phi == config.phi):
+            states["rho_s_t_hat"] = DensityMatrix(m_t, (2,))
+            states["rho_s_d_t_hat"] = DensityMatrix(md_t, (2,))
         if td_hat > threshold:
             fired = True
-            if config.emit_states:
-                states["rho_s_t_hat"] = m_t
-                states["rho_s_d_t_hat"] = md_t
             break
-        if config.emit_states and phi == config.phi:
-            states["rho_s_t_hat"] = m_t
-            states["rho_s_d_t_hat"] = md_t
 
     thresholds = {
         "stage1_threshold": stage1_threshold,
         "threshold_sigma": config.threshold_sigma,
         "exact_epsilon": config.exact_epsilon,
     }
+    emitted = states if config.emit_states else None
 
     if fired:
         thresholds["stage2_threshold"] = None
-        return ClassificationResult(VERDICT_QC, td_report, None, proj.degenerate_source,
-                                    thresholds, states if config.emit_states else None)
+        return ClassificationResult(VERDICT_QC, td_report, None, degenerate, thresholds, emitted)
 
-    v = half_wave_plate(config.hwp_angle)
-    rho_u = apply_local_system(rho, v)
-    e_s0 = tomo1(partial_trace(rho, 0))
-    e_u0 = tomo1(partial_trace(rho_u, 0))
-    e_st = tomo1(partial_trace(phase_gate_evolve(rho, config.phi), 0))
-    e_ut = tomo1(partial_trace(phase_gate_evolve(rho_u, config.phi), 0))
-    growth_hat = trace_distance(e_ut, e_st) - trace_distance(e_u0, e_s0)
+    rho_u = rotate(r, half_wave_plate(config.hwp_angle))
+    estimates = [marginal_tomo(s) for s in
+                 (r, rho_u, evolve(r, config.phi), evolve(rho_u, config.phi))]
+    e_s0, e_u0, e_st, e_ut = estimates
+    growth_hat = float(trace_distances(e_ut, e_st) - trace_distances(e_u0, e_s0))
 
-    reps = [sample_reconstructions(e.mat, settings1, config.shots, b, next_seed())
-            for e in (e_s0, e_u0, e_st, e_ut)]
+    reps = [sample_reconstructions(e, settings1, shots, b, next_seed()) for e in estimates]
     growth_star = trace_distances(reps[3], reps[2]) - trace_distances(reps[1], reps[0])
     sigma2 = float(growth_star.std())
     stage2_threshold = config.threshold_sigma * sigma2
+    check_finite([growth_hat, sigma2], "stage-2 statistic")
 
     growth_report = WitnessReport(growth_hat, CORRELATION_WITNESS,
                                   _digest(digest, config, config.phi),
-                                  proj.degenerate_source, sigma=sigma2)
+                                  degenerate, sigma=sigma2)
     thresholds["stage2_threshold"] = stage2_threshold
     if config.emit_states:
-        states.update({"rho_s_0_hat": e_s0, "rho_s_u_0_hat": e_u0,
-                       "rho_s_t_hat2": e_st, "rho_s_u_t_hat": e_ut})
+        states.update({k: DensityMatrix(e, (2,)) for k, e in zip(
+            ("rho_s_0_hat", "rho_s_u_0_hat", "rho_s_t_hat2", "rho_s_u_t_hat"), estimates)})
 
     verdict = VERDICT_CC if growth_hat > stage2_threshold else VERDICT_F
-    return ClassificationResult(verdict, td_report, growth_report, proj.degenerate_source,
-                                thresholds, states if config.emit_states else None)
+    return ClassificationResult(verdict, td_report, growth_report, degenerate, thresholds, emitted)

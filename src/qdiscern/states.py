@@ -22,14 +22,15 @@ FAMILIES = ("CC", "QC", "F")
 
 
 def projector(ket: np.ndarray) -> np.ndarray:
-    """|k><k| for a (not necessarily normalized) ket."""
+    """|k><k| for (stacked, not necessarily normalized) kets (..., d)."""
     ket = np.asarray(ket, dtype=complex)
-    return np.outer(ket, ket.conj()) / (ket.conj() @ ket)
+    norm = (ket.conj() * ket).sum(axis=-1)[..., None, None]
+    return ket[..., :, None] * ket.conj()[..., None, :] / norm
 
 
-def theta_ket(theta: float) -> np.ndarray:
-    """cos(theta)|H> + sin(theta)|V>."""
-    return np.array([np.cos(theta), np.sin(theta)], dtype=complex)
+def theta_ket(theta) -> np.ndarray:
+    """cos(theta)|H> + sin(theta)|V>, stacked along the leading axes of theta."""
+    return np.stack([np.cos(theta), np.sin(theta)], axis=-1).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -78,14 +79,19 @@ def make_cc(lam: float) -> DensityMatrix:
     return DensityMatrix(m, (2, 2))
 
 
+def qc_matrices(lam, theta) -> np.ndarray:
+    """Unvalidated QC states (..., 4, 4) for broadcast arrays lam, theta."""
+    lam = np.asarray(lam, dtype=float)[..., None, None]
+    return lam * kron(projector(KET_H), projector(KET_0)) \
+        + (1 - lam) * kron(projector(theta_ket(theta)), projector(KET_1))
+
+
 def make_qc(lam: float, theta: float) -> DensityMatrix:
     """lam |H><H| x |0><0| + (1-lam) |theta><theta| x |1><1|."""
     _check_lambda(lam)
     if not 0.0 <= theta <= np.pi / 2:
         raise ValueError(f"theta must be in [0, pi/2], got {theta}")
-    m = lam * kron(projector(KET_H), projector(KET_0)) \
-        + (1 - lam) * kron(projector(theta_ket(theta)), projector(KET_1))
-    return DensityMatrix(m, (2, 2))
+    return DensityMatrix(qc_matrices(lam, theta), (2, 2))
 
 
 def make_f(lam: float) -> DensityMatrix:

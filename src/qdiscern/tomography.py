@@ -2,9 +2,10 @@
 
 Counts are multinomial per measurement setting; reconstruction is linear
 inversion followed by projection onto the physical set, with parametric
-bootstrap for error bars. Seeding is deterministic: setting i of a run
-seeded with s uses stream s + i, so per-setting sampling is independent
-of evaluation order.
+bootstrap for error bars. Probabilities, inversion and projection work on
+stacked states and frequency vectors; one run is a batch of one. Seeding
+is deterministic: setting i of a run seeded with s uses stream s + i, so
+per-setting sampling is independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, hermiticity_defect
+from .linalg import DensityMatrix, hermiticity_defect, kron
 
 PROB_DRIFT_TOL = 1e-9
 _BOOT_SEED_OFFSET = 1_000_003  # keeps bootstrap streams clear of setting streams
@@ -57,8 +58,8 @@ def setting_from_label(label: str) -> MeasurementSetting:
         return _basis_setting(label)
     if len(label) == 2 and all(c in _BASES for c in label):
         a, b = _basis_setting(label[0]), _basis_setting(label[1])
-        projs = tuple(np.kron(p, q) for p in a.projectors for q in b.projectors)
-        return MeasurementSetting(label, projs)
+        projs = kron(np.stack(a.projectors)[:, None], np.stack(b.projectors)[None])
+        return MeasurementSetting(label, tuple(projs.reshape(-1, 4, 4)))
     raise ValueError(f"unknown setting label {label!r}")
 
 
@@ -111,25 +112,36 @@ class ReconstructedState:
 
 
 def outcome_probabilities(rho_mat: np.ndarray, setting: MeasurementSetting) -> np.ndarray:
-    """Born probabilities for one setting, clamped and renormalized within
-    PROB_DRIFT_TOL; larger drift signals an invalid state."""
-    p = np.array([np.trace(proj @ rho_mat).real for proj in setting.projectors])
-    if p.min() < -PROB_DRIFT_TOL or abs(p.sum() - 1.0) > PROB_DRIFT_TOL:
+    """Born probabilities (..., k) of one setting for stacked states
+    (..., d, d), clamped and renormalized within PROB_DRIFT_TOL; larger
+    drift signals an invalid state."""
+    prods = np.stack(setting.projectors) @ np.asarray(rho_mat)[..., None, :, :]
+    p = np.trace(prods, axis1=-2, axis2=-1).real
+    if p.min() < -PROB_DRIFT_TOL or np.abs(p.sum(axis=-1) - 1.0).max() > PROB_DRIFT_TOL:
         raise ValueError(f"outcome probabilities drifted beyond tolerance: {p}")
     p = np.clip(p, 0.0, 1.0)
-    return p / p.sum()
+    return p / p.sum(axis=-1, keepdims=True)
 
 
-def simulate_counts(rho: DensityMatrix, settings, shots: int, seed: int) -> TomographyRecord:
-    """One multinomial draw of `shots` per setting; setting i uses stream seed+i."""
+def _multinomial(probs_per_setting, shots: int, n_samples: int | None, seed: int) -> list:
+    """Counts per setting; setting i draws from stream seed + i.
+
+    A probability vector (k,) gives n_samples draws (n_samples, k), or one
+    draw (k,) when n_samples is None; an (n, k) array gives one draw per row.
+    """
+    return [np.random.default_rng(seed + i).multinomial(
+                shots, p, size=n_samples if np.ndim(p) == 1 else None)
+            for i, p in enumerate(probs_per_setting)]
+
+
+def simulate_counts(rho, settings, shots: int, seed: int) -> TomographyRecord:
+    """One multinomial draw of `shots` per setting; setting i uses stream seed+i.
+    `rho` is a DensityMatrix or a plain (d, d) matrix."""
     if shots <= 0:
         raise ValueError("shots must be positive")
-    counts = []
-    for i, setting in enumerate(settings):
-        p = outcome_probabilities(rho.mat, setting)
-        rng = np.random.default_rng(seed + i)
-        counts.append(tuple(int(k) for k in rng.multinomial(shots, p)))
-    return TomographyRecord(tuple(settings), tuple(counts), shots, seed)
+    rho_mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    counts = _multinomial([outcome_probabilities(rho_mat, s) for s in settings], shots, None, seed)
+    return TomographyRecord(tuple(settings), tuple(tuple(c.tolist()) for c in counts), shots, seed)
 
 
 _PINV_CACHE: dict = {}
@@ -149,31 +161,19 @@ def _design_pinv(settings) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def linear_inversion(settings, frequencies: np.ndarray) -> np.ndarray:
-    """Hermitian unit-trace estimate from outcome frequencies (may be unphysical)."""
+    """Hermitian unit-trace estimates (..., d, d) from outcome frequencies
+    (..., M) (may be unphysical)."""
     _, pinv, dim = _design_pinv(settings)
-    m = (pinv @ np.asarray(frequencies, dtype=complex)).reshape(dim, dim)
-    m = (m + m.conj().T) / 2
-    return m / m.trace().real
+    freqs = np.asarray(frequencies, dtype=complex)
+    m = (freqs @ pinv.T).reshape(*freqs.shape[:-1], dim, dim)
+    m = (m + np.swapaxes(m.conj(), -1, -2)) / 2
+    return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def _repair_spectrum(w: np.ndarray) -> np.ndarray:
-    """Truncate-and-rescale sweep over ascending eigenvalues; preserves the sum."""
-    out = w.copy()
-    d = len(w)
-    shift = 0.0
-    for i in range(d):
-        rest = d - i
-        if out[i] + shift / rest < 0:
-            shift += out[i]
-            out[i] = 0.0
-        else:
-            out[i:] += shift / rest
-            break
-    return out
-
-
-def _repair_spectrum_batch(w: np.ndarray) -> np.ndarray:
-    out = w.copy()
+def _truncate_rescale(w: np.ndarray) -> np.ndarray:
+    """Truncate-and-rescale sweep over ascending eigenvalues (..., d);
+    preserves each sum."""
+    out = w.reshape(-1, w.shape[-1]).copy()
     n, d = out.shape
     shift = np.zeros(n)
     done = np.zeros(n, dtype=bool)
@@ -185,7 +185,18 @@ def _repair_spectrum_batch(w: np.ndarray) -> np.ndarray:
         fin = ~neg & ~done
         out[fin, i:] += (shift[fin] / rest)[:, None]
         done |= fin
-    return out
+    return out.reshape(w.shape)
+
+
+def _physical(h: np.ndarray) -> np.ndarray:
+    """Nearest density matrices to stacked Hermitian h: clip the negative
+    eigenvalue mass and keep the trace (Smolin, Gambetta & Smith, PRL 108,
+    070502 (2012))."""
+    tr = np.trace(h, axis1=-2, axis2=-1).real
+    w, v = np.linalg.eigh(h / tr[..., None, None])
+    w = _truncate_rescale(w)
+    w /= w.sum(axis=-1, keepdims=True)
+    return (v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 def project_to_physical(h: np.ndarray, dims=None) -> DensityMatrix:
@@ -196,32 +207,15 @@ def project_to_physical(h: np.ndarray, dims=None) -> DensityMatrix:
     tr = h.trace().real
     if abs(tr - 1.0) > 0.1:
         raise ValueError(f"trace {tr} too far from 1")
-    w, v = np.linalg.eigh(h / tr)
-    w = _repair_spectrum(w)
-    w /= w.sum()
-    out = (v * w) @ v.conj().T
     d = h.shape[0]
     if dims is None:
         dims = (2, 2) if d == 4 else (d,)
-    return DensityMatrix(out, dims)
-
-
-def _project_batch(ms: np.ndarray) -> np.ndarray:
-    """Batched physicality projection on stacked Hermitian matrices."""
-    tr = np.einsum("bii->b", ms).real
-    w, v = np.linalg.eigh(ms / tr[:, None, None])
-    w = _repair_spectrum_batch(w)
-    w /= w.sum(axis=1, keepdims=True)
-    return np.einsum("bik,bk,bjk->bij", v, w, v.conj())
+    return DensityMatrix(_physical(h), dims)
 
 
 def reconstruct_batch(settings, freqs: np.ndarray) -> np.ndarray:
-    """Batched linear inversion + physicality projection on (n, M) frequencies."""
-    _, pinv, dim = _design_pinv(settings)
-    vecs = np.asarray(freqs, dtype=complex) @ pinv.T
-    ms = vecs.reshape(-1, dim, dim)
-    ms = (ms + ms.conj().transpose(0, 2, 1)) / 2
-    return _project_batch(ms)
+    """Linear inversion + physicality projection of (..., M) frequencies."""
+    return _physical(linear_inversion(settings, freqs))
 
 
 def sample_frequencies(probs_per_setting, shots: int, n_samples: int, seed: int) -> np.ndarray:
@@ -231,20 +225,13 @@ def sample_frequencies(probs_per_setting, shots: int, n_samples: int, seed: int)
     per-sample (n, k) array; setting i uses stream seed + i as in
     simulate_counts.
     """
-    blocks = []
-    for i, p in enumerate(probs_per_setting):
-        rng = np.random.default_rng(seed + i)
-        p = np.asarray(p)
-        if p.ndim == 1:
-            blocks.append(rng.multinomial(shots, p, size=n_samples) / shots)
-        else:
-            blocks.append(rng.multinomial(shots, p) / shots)
-    return np.concatenate(blocks, axis=1)
+    return np.concatenate(_multinomial(probs_per_setting, shots, n_samples, seed), axis=1) / shots
 
 
 def sample_reconstructions(rho_mat: np.ndarray, settings, shots: int,
                            n_samples: int, seed: int) -> np.ndarray:
-    """Reconstructions of n_samples independent synthetic runs on rho_mat."""
+    """Reconstructions of n_samples independent synthetic runs on rho_mat,
+    one state (d, d) or one state per run (n_samples, d, d)."""
     probs = [outcome_probabilities(rho_mat, s) for s in settings]
     return reconstruct_batch(settings, sample_frequencies(probs, shots, n_samples, seed))
 

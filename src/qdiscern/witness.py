@@ -1,4 +1,5 @@
-"""Scalar figures of merit.
+"""Figures of merit, as array functions on stacked states and as
+`WitnessReport`-returning calls on one `DensityMatrix`.
 
 * ``discord_T``: trace distance between a state and its eigenbasis-dephased
   version (a quantifier of quantum discord).
@@ -15,8 +16,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Projector, apply_local_system, dephase, phase_gate_evolve, system_eigenprojector
-from .linalg import DensityMatrix, NumericalError, kron, partial_trace, trace_distance, trace_norm
+from .channels import (
+    Projector,
+    eigenprojectors,
+    evolve,
+    lift,
+    pinch,
+    rotate,
+    system_unitary,
+)
+from .linalg import (
+    DensityMatrix,
+    NumericalError,
+    check_finite,
+    partial_trace,
+    trace_distances,
+    trace_norm,
+    two_qubit,
+)
 
 DISCORD_QUANTIFIER = "discord_quantifier"
 DISCORD_WITNESS = "discord_witness"
@@ -46,55 +63,72 @@ class WitnessReport:
         }
 
 
-def discord_T(rho_se: DensityMatrix, proj: Projector | None = None) -> WitnessReport:
-    """Trace distance between rho and its dephased version.
+def discord_values(rho: np.ndarray, projs: np.ndarray) -> np.ndarray:
+    """T for stacked states (..., 4, 4) and system projectors (..., 2, 2).
 
     Cross-checks the equivalent anticommutator form
     || Pi rho Pi - (Pi rho + rho Pi)/2 ||_1 and raises NumericalError if
     the two disagree, guarding the projector-lifting convention.
     """
-    if proj is None:
-        proj = system_eigenprojector(rho_se)
-    value = trace_distance(dephase(rho_se, proj), rho_se)
-    p = kron(proj.matrix, np.eye(rho_se.dims[1]))
-    r = rho_se.mat
-    alt = trace_norm(p @ r @ p - 0.5 * (p @ r + r @ p))
-    if abs(value - alt) > 1e-9:
+    value = check_finite(trace_distances(pinch(rho, projs), rho), "discord T")
+    p = lift(projs)
+    alt = trace_norm(p @ rho @ p - 0.5 * (p @ rho + rho @ p))
+    if np.any(np.abs(value - alt) > 1e-9):
         raise NumericalError(f"discord forms disagree: {value} vs {alt}")
+    return np.maximum(value, 0.0)
+
+
+def td_values(rho: np.ndarray, phi, projs: np.ndarray) -> np.ndarray:
+    """Td for stacked states, phases and system projectors (broadcast)."""
+    m = partial_trace(evolve(rho, phi), 0)
+    m_d = partial_trace(evolve(pinch(rho, projs), phi), 0)
+    return check_finite(trace_distances(m_d, m), "witness Td")
+
+
+def growth_values(rho: np.ndarray, v: np.ndarray, phi) -> np.ndarray:
+    """T_u(t) - T_u(0) for stacked states, system unitaries and phases."""
+    rho_u = rotate(rho, v)
+    t0 = trace_distances(partial_trace(rho_u, 0), partial_trace(rho, 0))
+    t1 = trace_distances(partial_trace(evolve(rho_u, phi), 0), partial_trace(evolve(rho, phi), 0))
+    return check_finite(t1 - t0, "growth witness")
+
+
+def _projector(r: np.ndarray, proj: Projector | None) -> tuple[np.ndarray, bool]:
+    if proj is not None:
+        return proj.matrix, proj.degenerate_source
+    projs, degenerate = eigenprojectors(r)
+    return projs, bool(degenerate)
+
+
+def discord_T(rho_se: DensityMatrix, proj: Projector | None = None) -> WitnessReport:
+    """Trace distance between rho and its dephased version."""
+    r = two_qubit(rho_se)
+    projs, degenerate = _projector(r, proj)
     return WitnessReport(
-        value=max(value, 0.0),
+        value=float(discord_values(r, projs)),
         kind=DISCORD_QUANTIFIER,
-        degenerate_basis=proj.degenerate_source,
+        degenerate_basis=degenerate,
     )
 
 
 def witness_Td(rho_se: DensityMatrix, phi: float, proj: Projector | None = None) -> WitnessReport:
     """Trace distance of the system marginals of rho and its dephased
     version after the phase-gate evolution at angle phi."""
-    if proj is None:
-        proj = system_eigenprojector(rho_se)
-    rho_d = dephase(rho_se, proj)
-    m = partial_trace(phase_gate_evolve(rho_se, phi), 0)
-    m_d = partial_trace(phase_gate_evolve(rho_d, phi), 0)
+    r = two_qubit(rho_se)
+    projs, degenerate = _projector(r, proj)
     return WitnessReport(
-        value=trace_distance(m_d, m),
+        value=float(td_values(r, phi, projs)),
         kind=DISCORD_WITNESS,
         inputs_digest={"phi": phi},
-        degenerate_basis=proj.degenerate_source,
+        degenerate_basis=degenerate,
     )
 
 
 def witness_growth(rho_se: DensityMatrix, v: np.ndarray, phi: float) -> WitnessReport:
     """T_u(t) - T_u(0): growth of the system-marginal trace distance between
     rho and (V x 1) rho (V x 1)^dagger under the phase-gate evolution."""
-    rho_u = apply_local_system(rho_se, v)
-    t0 = trace_distance(partial_trace(rho_u, 0), partial_trace(rho_se, 0))
-    t1 = trace_distance(
-        partial_trace(phase_gate_evolve(rho_u, phi), 0),
-        partial_trace(phase_gate_evolve(rho_se, phi), 0),
-    )
     return WitnessReport(
-        value=t1 - t0,
+        value=float(growth_values(two_qubit(rho_se), system_unitary(v), phi)),
         kind=CORRELATION_WITNESS,
         inputs_digest={"phi": phi},
     )

@@ -62,6 +62,54 @@ class TestClassify:
         assert json.loads(out)["verdict"] == "QC"
 
 
+    def test_config_file_sets_family_and_lambda(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"family": "cc", "lambda": 0.64}))
+        code, out, _ = run(capsys, "classify", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["verdict"] == "CC"
+        assert json.loads(out)["family_params"] == {"family": "CC", "lambda": 0.64, "theta": 0.0}
+
+    def test_reported_config_lists_emit_states(self, capsys):
+        code, out, _ = run(capsys, "classify", "--family", "cc", "--lambda", "0.64",
+                           "--emit-states")
+        assert code == 0
+        assert json.loads(out)["config"]["emit_states"] is True
+
+
+NON_FINITE = [
+    ("classify", "--phi", "nan"),
+    ("classify", "--hwp-angle", "inf"),
+    ("classify", "--threshold-sigma", "inf"),
+    ("classify", "--exact-epsilon", "nan"),
+    ("classify", "--retry-phis", "1.0,nan"),
+    ("sweep", "--phi", "nan"),
+    ("sweep", "--hwp-angle", "inf"),
+    ("sweep", "--lambda-grid", "nan:0.9:2"),
+    ("sweep", "--theta-grid", "nan:1.4:2"),
+    ("phase-scan", "--phis", "0.5,nan"),
+]
+BASE_ARGV = {
+    "classify": ["classify", "--family", "qc", "--lambda", "0.7", "--theta", "0.7"],
+    "sweep": ["sweep", "--quantity", "Td", "--lambda-grid", "0.1:0.9:2",
+              "--theta-grid", "0.1:1.4:2"],
+    "phase-scan": ["phase-scan", "--family", "qc", "--lambda", "0.7", "--theta", "0.7"],
+}
+
+
+@pytest.mark.parametrize("command,flag,value", NON_FINITE, ids=lambda x: x)
+def test_non_finite_input_is_exit_2(capsys, command, flag, value):
+    argv = [a for a in BASE_ARGV[command]]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "finite" in err
+    assert out == ""
+
+
 class TestSweep:
     def test_td_golden_point(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"
@@ -121,6 +169,17 @@ class TestSweep:
 
 
 class TestPhaseScan:
+    def test_family_from_config_file_flag_overrides(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"family": "cc", "lambda": 0.64, "theta": 0.0}))
+        code, out, _ = run(capsys, "phase-scan", "--config", str(cfg), "--phis", PI)
+        assert code == 0
+        assert float(out.splitlines()[2].split(",")[1]) < 1e-12
+        code, out, _ = run(capsys, "phase-scan", "--config", str(cfg), "--family", "qc",
+                           "--lambda", "0.5", "--theta", "0.7853981633974483", "--phis", PI)
+        assert code == 0
+        assert abs(float(out.splitlines()[2].split(",")[1]) - 0.25) < 1e-9
+
     def test_monotone_scan_ends_at_quarter(self, capsys):
         code, out, _ = run(capsys, "phase-scan", "--family", "qc", "--lambda", "0.5",
                            "--theta", "0.7853981634",

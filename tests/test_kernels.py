@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qdiscern import kernels
+from qdiscern.linalg import NumericalError
 from qdiscern.states import make_qc
 from qdiscern.witness import witness_Td
 
@@ -32,25 +33,6 @@ class TestKernelAgainstGeneralPath:
             assert abs(fast - general_td(lam, theta, np.pi)) < 1e-12
 
 
-class TestBackends:
-    def test_numpy_fallback_matches_dispatch(self):
-        rng = np.random.default_rng(42)
-        lams = rng.uniform(0, 1, 100)
-        thetas = rng.uniform(0, np.pi / 2, 100)
-        ref = kernels._td_qc_points_numpy(lams, thetas, np.pi)
-        assert_allclose(kernels.td_qc_points(lams, thetas, np.pi), ref, atol=1e-13)
-
-    @pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="numba backend disabled")
-    def test_numba_matches_numpy(self):
-        rng = np.random.default_rng(43)
-        lams = np.ascontiguousarray(rng.uniform(0, 1, 500))
-        thetas = np.ascontiguousarray(rng.uniform(0, np.pi / 2, 500))
-        for phi in (np.pi, 1.1):
-            a = kernels._td_qc_points_numba(lams, thetas, phi)
-            b = kernels._td_qc_points_numpy(lams, thetas, phi)
-            assert_allclose(a, b, atol=1e-13)
-
-
 class TestGrid:
     def test_shape_and_order(self):
         lams = np.linspace(0.1, 0.9, 3)
@@ -58,6 +40,10 @@ class TestGrid:
         g = kernels.td_qc_grid(lams, thetas, np.pi)
         assert g.shape == (3, 5)
         assert abs(g[1, 2] - general_td(lams[1], thetas[2], np.pi)) < 1e-12
+
+    def test_non_finite_output_rejected(self):
+        with pytest.raises(NumericalError, match="finite"):
+            kernels.td_qc_grid([0.1, 0.9], [0.1, 1.4], float("nan"))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -125,6 +125,19 @@ class TestStructure:
         with pytest.raises(ValueError):
             ProtocolConfig(shots=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("phi", float("nan")), ("hwp_angle", float("inf")), ("threshold_sigma", float("inf")),
+        ("exact_epsilon", float("nan")), ("retry_phis", (1.0, float("-inf"))), ("phi", "abc"),
+    ])
+    def test_config_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            ProtocolConfig(**{field: value})
+
+    def test_config_json_round_trip(self):
+        cfg = ProtocolConfig(mode="simulated", phi=1.1, retry_phis=(2.0,), emit_states=True)
+        d = cfg.to_json()
+        assert ProtocolConfig(**{**d, "retry_phis": tuple(d["retry_phis"])}) == cfg
+
     def test_result_json_shape(self):
         res = classify(make_cc(0.64), EXACT)
         d = res.to_json()

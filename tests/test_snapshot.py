@@ -29,6 +29,9 @@ FLOATS = ("td_value", "td_sigma", "growth_value", "growth_sigma",
           "stage1_threshold", "stage2_threshold")
 
 
+_default_rng = np.random.default_rng
+
+
 class _RecordingGenerator:
     """A numpy Generator that remembers every multinomial draw, by seed."""
 
@@ -46,9 +49,6 @@ class _RecordingGenerator:
         return getattr(self._rng, name)
 
 
-_default_rng = np.random.default_rng
-
-
 def _counts_hash(draws) -> str:
     """SHA-256 over all draws, ordered by seed stream so that evaluation
     order does not matter."""
@@ -60,14 +60,14 @@ def _counts_hash(draws) -> str:
     return h.hexdigest()
 
 
-def run_case(params: FamilyParams, seed: int, patch) -> dict:
+def run_case(params: FamilyParams, seed: int) -> dict:
     draws = []
-    patch(np.random, "default_rng", lambda s=None: _RecordingGenerator(s, draws))
+    np.random.default_rng = lambda s=None: _RecordingGenerator(s, draws)
     try:
         cfg = ProtocolConfig(mode="simulated", shots=SHOTS, bootstrap_samples=BOOTSTRAP, seed=seed)
         res = classify_simulated(params, cfg)
     finally:
-        patch(np.random, "default_rng", _default_rng)
+        np.random.default_rng = _default_rng
     g = res.growth_report
     return {
         "family": params.family,
@@ -83,10 +83,6 @@ def run_case(params: FamilyParams, seed: int, patch) -> dict:
     }
 
 
-def _cases():
-    return [(p, s) for p in STATES for s in SEEDS]
-
-
 @pytest.fixture(scope="module")
 def snapshot():
     data = json.loads(SNAPSHOT.read_text())
@@ -94,10 +90,10 @@ def snapshot():
 
 
 @pytest.mark.parametrize("params", STATES, ids=lambda p: p.family)
-def test_simulated_runs_match_snapshot(params, snapshot, monkeypatch):
+def test_simulated_runs_match_snapshot(params, snapshot):
     for seed in SEEDS:
         want = snapshot[(params.family, seed)]
-        got = run_case(params, seed, monkeypatch.setattr)
+        got = run_case(params, seed)
         assert got["verdict"] == want["verdict"], (params, seed)
         assert got["counts_sha256"] == want["counts_sha256"], (params, seed)
         for key in FLOATS:
@@ -108,7 +104,7 @@ def test_simulated_runs_match_snapshot(params, snapshot, monkeypatch):
 
 
 if __name__ == "__main__":
-    cases = [run_case(p, s, setattr) for p, s in _cases()]
+    cases = [run_case(p, s) for p in STATES for s in SEEDS]
     SNAPSHOT.parent.mkdir(exist_ok=True)
     SNAPSHOT.write_text(json.dumps({
         "shots": SHOTS, "bootstrap_samples": BOOTSTRAP, "cases": cases,

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 import oracle
 from qdiscern.channels import half_wave_plate
-from qdiscern.linalg import random_density
+from qdiscern.linalg import NumericalError, random_density
 from qdiscern.states import make_cc, make_f, make_qc
 from qdiscern.witness import (
     CORRELATION_WITNESS,
@@ -133,6 +133,15 @@ class TestZeroLine:
             lam = zero_line_lambda(theta)
             assert 0.0 <= lam <= 0.5
             assert abs(zero_line_residual(lam, theta)) < 1e-12
+
+
+class TestNonFiniteOutput:
+    def test_nan_phase_is_a_numerical_error(self):
+        rho = make_qc(0.7, np.pi / 4)
+        with pytest.raises(NumericalError, match="finite"):
+            witness_Td(rho, float("nan"))
+        with pytest.raises(NumericalError, match="finite"):
+            witness_growth(rho, half_wave_plate(np.pi / 8), float("nan"))
 
 
 class TestWitnessReport:
