@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEGENERACY_GAP, DensityMatrix, kron, partial_trace, two_qubit
+from .linalg import (DEGENERACY_GAP, HERM_TOL, IDEMPOTENCY_TOL, TRACE_TOL, UNITARY_TOL,
+                     DensityMatrix, hermiticity_defect, kron, partial_trace, two_qubit)
 from .states import KET_H, projector
-
-UNITARY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -31,11 +30,11 @@ class Projector:
         m = np.array(self.matrix, dtype=complex)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        if np.abs(m - m.conj().T).max() > 1e-9:
+        if hermiticity_defect(m) > HERM_TOL:
             raise ValueError("projector must be Hermitian")
-        if np.abs(m @ m - m).max() > 1e-9:
+        if np.abs(m @ m - m).max() > IDEMPOTENCY_TOL:
             raise ValueError("projector must be idempotent")
-        if abs(m.trace() - 1.0) > 1e-9:
+        if abs(m.trace() - 1.0) > TRACE_TOL:
             raise ValueError("projector must have rank 1")
 
     @property

@@ -12,6 +12,7 @@ input, 3 internal numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import numbers
@@ -22,21 +23,11 @@ import numpy as np
 from . import kernels
 from .channels import eigenprojectors, half_wave_plate
 from .linalg import NumericalError
-from .protocol import ProtocolConfig, classify, classify_simulated
+from .protocol import ProtocolConfig, classify
 from .states import FamilyParams, qc_matrices
 from .witness import discord_values, growth_values, td_values
 
-_CLASSIFY_DEFAULTS = {
-    "phi": float(np.pi),
-    "hwp_angle": float(np.pi / 8),
-    "mode": "exact",
-    "shots": 100_000,
-    "seed": 0,
-    "bootstrap": 200,
-    "threshold_sigma": 3.0,
-    "exact_epsilon": 1e-9,
-    "retry_phis": "",
-}
+_CONFIG_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ProtocolConfig)}
 _FAMILY_DEFAULTS = {"family": None, "lambda": None, "theta": None}
 
 
@@ -80,8 +71,12 @@ def _load_config(path: str | None) -> dict:
 
 
 def _resolve(args, defaults: dict) -> dict:
-    """Flag > config file > default, per option."""
+    """Flag > config file > default, per option; a file key the command
+    does not read is an error."""
     file_cfg = _load_config(args.config)
+    unknown = sorted(set(file_cfg) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     out = {}
     for key, default in defaults.items():
         v = getattr(args, key, None)
@@ -110,24 +105,17 @@ def _write_lines(lines: list[str], output: str | None):
 
 
 def cmd_classify(args) -> int:
-    opts = _resolve(args, {**_CLASSIFY_DEFAULTS, **_FAMILY_DEFAULTS})
+    opts = _resolve(args, {**_CONFIG_DEFAULTS, **_FAMILY_DEFAULTS})
     params = _family_params(opts)
-    config = ProtocolConfig(
-        phi=opts["phi"],
-        hwp_angle=opts["hwp_angle"],
-        mode=opts["mode"],
-        shots=int(opts["shots"]),
-        bootstrap_samples=int(opts["bootstrap"]),
-        threshold_sigma=opts["threshold_sigma"],
-        exact_epsilon=opts["exact_epsilon"],
-        seed=int(opts["seed"]),
-        retry_phis=_parse_phis(opts["retry_phis"]) if isinstance(opts["retry_phis"], str) else tuple(opts["retry_phis"]),
-        emit_states=bool(args.emit_states),
-    )
-    if config.mode == "exact":
-        result = classify(params.build(), config, digest=params.to_json())
-    else:
-        result = classify_simulated(params, config)
+    kw = {k: opts[k] for k in _CONFIG_DEFAULTS}
+    for key in ("shots", "bootstrap_samples", "seed"):
+        kw[key] = int(kw[key])
+    phis = kw["retry_phis"]
+    kw["retry_phis"] = _parse_phis(phis) if isinstance(phis, str) else tuple(phis)
+    if not isinstance(kw["emit_states"], bool):
+        raise ValueError(f"emit_states must be true or false, got {kw['emit_states']!r}")
+    config = ProtocolConfig(**kw)
+    result = classify(params.build(), config, digest=params.to_json())
     out = result.to_json()
     out["config"] = config.to_json()
     out["family_params"] = params.to_json()
@@ -209,11 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--hwp-angle", dest="hwp_angle", type=float)
     pc.add_argument("--shots", type=int)
     pc.add_argument("--seed", type=int)
-    pc.add_argument("--bootstrap", type=int)
+    pc.add_argument("--bootstrap", dest="bootstrap_samples", type=int)
     pc.add_argument("--threshold-sigma", dest="threshold_sigma", type=float)
     pc.add_argument("--exact-epsilon", dest="exact_epsilon", type=float)
     pc.add_argument("--retry-phis", dest="retry_phis", help="comma-separated fallback phases")
-    pc.add_argument("--emit-states", action="store_true")
+    pc.add_argument("--emit-states", action="store_true", default=None)
     pc.add_argument("--config", help="JSON config file; flags override")
     pc.set_defaults(func=cmd_classify)
 

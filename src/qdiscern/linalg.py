@@ -11,10 +11,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-HERM_TOL = 1e-9
-TRACE_TOL = 1e-9
-PSD_TOL = 1e-9
-DEGENERACY_GAP = 1e-9
+# Every numerical tolerance of the package.
+HERM_TOL = 1e-9  # max |m - m^dagger| entry of a Hermitian matrix
+TRACE_TOL = 1e-9  # |tr - 1| of a state or a rank-1 projector
+PSD_TOL = 1e-9  # most negative eigenvalue a state may have
+DEGENERACY_GAP = 1e-9  # eigenvalue gap below which a marginal has no preferred basis
+IDEMPOTENCY_TOL = 1e-9  # max |P P - P| entry of a projector
+UNITARY_TOL = 1e-9  # max |V^dagger V - 1| entry of a unitary
+COMPLETENESS_TOL = 1e-12  # max |sum_k P_k - 1| entry of a measurement setting
+PROB_DRIFT_TOL = 1e-9  # Born probability below 0 or sum off 1, clamped away
+ESTIMATE_TRACE_TOL = 0.1  # |tr - 1| of a raw estimate handed to the physicality projection
+CROSS_CHECK_TOL = 1e-9  # disagreement of the two forms of discord T
+RANGE_SLACK = 1e-9  # rounding allowed outside a witness value's range
+PHASE_CUT = 1e-9  # smallest eigenvector component modulus used to fix its phase
 
 
 class NumericalError(ArithmeticError):
@@ -151,7 +160,7 @@ def herm_eig(h) -> HermEigResult:
     """Eigendecomposition of a Hermitian matrix.
 
     Eigenvalues sorted descending; each eigenvector's first component with
-    modulus > 1e-9 is made real and positive so output is deterministic.
+    modulus > PHASE_CUT is made real and positive so output is deterministic.
     """
     h = _as_array(h)
     defect = hermiticity_defect(h)
@@ -162,7 +171,7 @@ def herm_eig(h) -> HermEigResult:
     v = v[:, ::-1].copy()
     for k in range(v.shape[1]):
         col = v[:, k]
-        idx = np.flatnonzero(np.abs(col) > 1e-9)[0]
+        idx = np.flatnonzero(np.abs(col) > PHASE_CUT)[0]
         phase = col[idx] / abs(col[idx])
         v[:, k] = col / phase
     degenerate = bool(np.any(np.abs(np.diff(w)) < DEGENERACY_GAP))

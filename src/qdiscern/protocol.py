@@ -18,16 +18,23 @@ often; it also ignores the distance that projector misestimation alone
 induces. Stage 2's growth statistic is not folded, so the plain rule
 applies there.
 
-Seeding: tomography experiment j of a run uses stream seed + 100*j in
-the order the experiments are performed, so a fixed master seed
-reproduces every count, estimate and verdict bit-exactly.
+Seeding: tomography experiment j of a run uses stream seed + 100*j (and
+its setting i stream + i), so a fixed master seed reproduces every count,
+estimate and verdict bit-exactly. An experiment is one measured state or
+one batch of B replicas, numbered in the order they run: the two-qubit
+estimate of the state; then 7 per phase tried (the two observed
+marginals, the null's projector tomography and its two marginals, the
+two bootstrapped marginals); then 8 for stage 2 (four observed marginals,
+four bootstrapped). A run thus consumes 1 + 7 per phase tried, plus 8 if
+it reaches stage 2.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -77,18 +84,7 @@ class ProtocolConfig:
             raise ValueError("shots and bootstrap_samples must be positive")
 
     def to_json(self) -> dict:
-        return {
-            "phi": self.phi,
-            "hwp_angle": self.hwp_angle,
-            "mode": self.mode,
-            "shots": self.shots,
-            "bootstrap_samples": self.bootstrap_samples,
-            "threshold_sigma": self.threshold_sigma,
-            "exact_epsilon": self.exact_epsilon,
-            "seed": self.seed,
-            "retry_phis": list(self.retry_phis),
-            "emit_states": self.emit_states,
-        }
+        return {**asdict(self), "retry_phis": list(self.retry_phis)}
 
 
 @dataclass(frozen=True)
@@ -180,47 +176,42 @@ def _classify_exact(rho: DensityMatrix, config: ProtocolConfig, digest: dict) ->
     return ClassificationResult(verdict, td_report, growth, degenerate, thresholds, states)
 
 
-def _null_td_samples(rho_null: np.ndarray, phi: float, shots: int, n: int,
-                     settings1, settings2, seeds: tuple[int, int, int]) -> np.ndarray:
-    """Stage-1 witness values under the no-discord null.
+def td_stat(m: np.ndarray, md: np.ndarray, measure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stage-1 statistic: the trace distance between the evolved system
+    marginals of a state (m) and of its dephased twin (md), each as
+    `measure` sees it. Returns the distance and the two estimates."""
+    est_m = measure(m)
+    est_md = measure(md)
+    return trace_distances(est_md, est_m), est_m, est_md
 
-    Each replica reruns the full measurement pipeline on the zero-discord
-    surrogate: 2-qubit tomography -> projector -> dephase -> evolve ->
-    1-qubit tomography of both marginals -> trace distance.
-    """
-    seed2, seed_m, seed_d = seeds
-    projs, _ = eigenprojectors(sample_reconstructions(rho_null, settings2, shots, n, seed2))
-    m_t = partial_trace(evolve(rho_null, phi), 0)
-    md_t = partial_trace(evolve(pinch(rho_null, projs), phi), 0)
-    est_m = sample_reconstructions(m_t, settings1, shots, n, seed_m)
-    est_d = sample_reconstructions(md_t, settings1, shots, n, seed_d)
-    return trace_distances(est_d, est_m)
+
+def growth_stat(marginals, measure) -> tuple[np.ndarray, list]:
+    """Stage-2 statistic TD(e3, e2) - TD(e1, e0) over the system marginals
+    of (rho, rho_u, rho(t), rho_u(t)), each as `measure` sees it. Returns
+    the growth and the four estimates."""
+    e = [measure(m) for m in marginals]
+    return trace_distances(e[3], e[2]) - trace_distances(e[1], e[0]), e
 
 
 def _classify_simulated(rho: DensityMatrix, config: ProtocolConfig, digest: dict) -> ClassificationResult:
-    settings1 = default_settings(1)
-    settings2 = default_settings(2)
+    settings1, settings2 = default_settings(1), default_settings(2)
     shots, b = config.shots, config.bootstrap_samples
-    counter = [0]
+    seeds = itertools.count(config.seed, _EXPERIMENT_STRIDE)
 
-    def next_seed() -> int:
-        s = config.seed + _EXPERIMENT_STRIDE * counter[0]
-        counter[0] += 1
-        return s
-
-    def tomo(true_state: np.ndarray, settings) -> np.ndarray:
+    def observe(state: np.ndarray, settings=settings1) -> np.ndarray:
         """One simulated tomography experiment: the reconstructed state."""
-        rec = simulate_counts(true_state, settings, shots, next_seed())
+        rec = simulate_counts(state, settings, shots, next(seeds))
         return reconstruct_batch(settings, rec.frequencies())
 
-    def marginal_tomo(true_state: np.ndarray) -> np.ndarray:
-        return tomo(partial_trace(true_state, 0), settings1)
+    def replicate(state: np.ndarray, settings=settings1) -> np.ndarray:
+        """B synthetic experiments on one state, or one on each of B states."""
+        return sample_reconstructions(state, settings, shots, b, next(seeds))
 
     r = two_qubit(rho)
     states: dict = {}
 
     # Pi from full-state tomography, as the experiment extracts it
-    rho_hat = tomo(r, settings2)
+    rho_hat = observe(r, settings2)
     proj, degenerate = eigenprojectors(rho_hat)
     degenerate = bool(degenerate)
     rho_d = pinch(r, proj)
@@ -233,18 +224,16 @@ def _classify_simulated(rho: DensityMatrix, config: ProtocolConfig, digest: dict
     fired = False
     stage1_threshold = None
     for phi in (config.phi, *config.retry_phis):
-        m_t = marginal_tomo(evolve(r, phi))
-        md_t = marginal_tomo(evolve(rho_d, phi))
-        td_hat = float(trace_distances(md_t, m_t))
-
-        td_null = _null_td_samples(rho_null, phi, shots, b, settings1, settings2,
-                                   (next_seed(), next_seed(), next_seed()))
+        td_hat, m_t, md_t = td_stat(partial_trace(evolve(r, phi), 0),
+                                    partial_trace(evolve(rho_d, phi), 0), observe)
+        td_hat = float(td_hat)
+        # the null reruns the whole pipeline, projector tomography included
+        null_projs, _ = eigenprojectors(replicate(rho_null, settings2))
+        td_null, _, _ = td_stat(partial_trace(evolve(rho_null, phi), 0),
+                                partial_trace(evolve(pinch(rho_null, null_projs), phi), 0), replicate)
         threshold = float(td_null.mean() + config.threshold_sigma * td_null.std())
-
         # parametric bootstrap around the two point estimates, for the error bar
-        rep_a = sample_reconstructions(m_t, settings1, shots, b, next_seed())
-        rep_b = sample_reconstructions(md_t, settings1, shots, b, next_seed())
-        sigma = float(trace_distances(rep_b, rep_a).std())
+        sigma = float(td_stat(m_t, md_t, replicate)[0].std())
         check_finite([td_hat, threshold, sigma], "stage-1 statistic")
 
         rep = WitnessReport(td_hat, DISCORD_WITNESS, _digest(digest, config, phi),
@@ -271,14 +260,11 @@ def _classify_simulated(rho: DensityMatrix, config: ProtocolConfig, digest: dict
         return ClassificationResult(VERDICT_QC, td_report, None, degenerate, thresholds, emitted)
 
     rho_u = rotate(r, half_wave_plate(config.hwp_angle))
-    estimates = [marginal_tomo(s) for s in
+    marginals = [partial_trace(s, 0) for s in
                  (r, rho_u, evolve(r, config.phi), evolve(rho_u, config.phi))]
-    e_s0, e_u0, e_st, e_ut = estimates
-    growth_hat = float(trace_distances(e_ut, e_st) - trace_distances(e_u0, e_s0))
-
-    reps = [sample_reconstructions(e, settings1, shots, b, next_seed()) for e in estimates]
-    growth_star = trace_distances(reps[3], reps[2]) - trace_distances(reps[1], reps[0])
-    sigma2 = float(growth_star.std())
+    growth_hat, estimates = growth_stat(marginals, observe)
+    growth_hat = float(growth_hat)
+    sigma2 = float(growth_stat(estimates, replicate)[0].std())
     stage2_threshold = config.threshold_sigma * sigma2
     check_finite([growth_hat, sigma2], "stage-2 statistic")
 

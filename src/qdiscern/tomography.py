@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, hermiticity_defect, kron
+from .linalg import (COMPLETENESS_TOL, ESTIMATE_TRACE_TOL, HERM_TOL, PROB_DRIFT_TOL,
+                     DensityMatrix, hermiticity_defect, kron)
 
-PROB_DRIFT_TOL = 1e-9
 _BOOT_SEED_OFFSET = 1_000_003  # keeps bootstrap streams clear of setting streams
 
 _KETS = {
@@ -32,44 +32,48 @@ _BASES = {"Z": ("H", "V"), "X": ("D", "A"), "Y": ("R", "L")}
 
 @dataclass(frozen=True)
 class MeasurementSetting:
-    """One measurement basis: orthonormal rank-1 projectors summing to 1."""
+    """One measurement basis: orthonormal rank-1 projectors summing to 1,
+    kept as one read-only (k, d, d) array."""
 
     label: str
-    projectors: tuple
+    projectors: np.ndarray
 
     def __post_init__(self):
-        total = sum(self.projectors)
-        if np.abs(total - np.eye(total.shape[0])).max() > 1e-12:
+        projs = np.array(self.projectors, dtype=complex)
+        projs.setflags(write=False)
+        object.__setattr__(self, "projectors", projs)
+        if np.abs(projs.sum(axis=0) - np.eye(projs.shape[-1])).max() > COMPLETENESS_TOL:
             raise ValueError(f"projectors of setting {self.label!r} do not sum to identity")
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.projectors.shape[-1]
 
 
-def _basis_setting(label: str) -> MeasurementSetting:
-    projs = tuple(np.outer(_KETS[k], _KETS[k].conj()) for k in _BASES[label])
-    return MeasurementSetting(label, projs)
+def _product(a: MeasurementSetting, b: MeasurementSetting) -> MeasurementSetting:
+    """The two-qubit setting measuring a on the system and b on the environment."""
+    projs = kron(a.projectors[:, None], b.projectors[None]).reshape(-1, 4, 4)
+    return MeasurementSetting(a.label + b.label, projs)
+
+
+_PAULI = [MeasurementSetting(b, [np.outer(_KETS[k], _KETS[k].conj()) for k in kets])
+          for b, kets in _BASES.items()]
+_DEFAULT_SETTINGS = {1: _PAULI, 2: [_product(a, b) for a in _PAULI for b in _PAULI]}
+_BY_LABEL = {s.label: s for settings in _DEFAULT_SETTINGS.values() for s in settings}
 
 
 def setting_from_label(label: str) -> MeasurementSetting:
-    """Rebuild a default setting from its label ('Z' or 'ZX' etc.)."""
-    if label in _BASES:
-        return _basis_setting(label)
-    if len(label) == 2 and all(c in _BASES for c in label):
-        a, b = _basis_setting(label[0]), _basis_setting(label[1])
-        projs = kron(np.stack(a.projectors)[:, None], np.stack(b.projectors)[None])
-        return MeasurementSetting(label, tuple(projs.reshape(-1, 4, 4)))
-    raise ValueError(f"unknown setting label {label!r}")
+    """A default setting by its label ('Z' or 'ZX' etc.)."""
+    if label not in _BY_LABEL:
+        raise ValueError(f"unknown setting label {label!r}")
+    return _BY_LABEL[label]
 
 
 def default_settings(n_qubits: int) -> list[MeasurementSetting]:
     """Three Pauli bases per qubit: 3 settings for n=1, 9 for n=2."""
-    if n_qubits == 1:
-        return [_basis_setting(b) for b in "ZXY"]
-    if n_qubits == 2:
-        return [setting_from_label(a + b) for a in "ZXY" for b in "ZXY"]
-    raise ValueError(f"unsupported n_qubits {n_qubits}")
+    if n_qubits not in _DEFAULT_SETTINGS:
+        raise ValueError(f"unsupported n_qubits {n_qubits}")
+    return list(_DEFAULT_SETTINGS[n_qubits])
 
 
 @dataclass(frozen=True)
@@ -115,7 +119,7 @@ def outcome_probabilities(rho_mat: np.ndarray, setting: MeasurementSetting) -> n
     """Born probabilities (..., k) of one setting for stacked states
     (..., d, d), clamped and renormalized within PROB_DRIFT_TOL; larger
     drift signals an invalid state."""
-    prods = np.stack(setting.projectors) @ np.asarray(rho_mat)[..., None, :, :]
+    prods = setting.projectors @ np.asarray(rho_mat)[..., None, :, :]
     p = np.trace(prods, axis1=-2, axis2=-1).real
     if p.min() < -PROB_DRIFT_TOL or np.abs(p.sum(axis=-1) - 1.0).max() > PROB_DRIFT_TOL:
         raise ValueError(f"outcome probabilities drifted beyond tolerance: {p}")
@@ -148,12 +152,12 @@ _PINV_CACHE: dict = {}
 
 
 def _design_pinv(settings) -> tuple[np.ndarray, np.ndarray, int]:
-    """Least-squares inverse of the map vec(rho) -> outcome probabilities."""
+    """Least-squares inverse of the map vec(rho) -> outcome probabilities,
+    cached under the projectors themselves: a label names no design."""
     dim = settings[0].dim
-    key = (tuple(s.label for s in settings), dim)
+    key = tuple((s.projectors.shape, s.projectors.tobytes()) for s in settings)
     if key not in _PINV_CACHE:
-        rows = [p.conj().ravel() for s in settings for p in s.projectors]
-        a = np.array(rows)
+        a = np.concatenate([s.projectors.conj().reshape(-1, dim * dim) for s in settings])
         if np.linalg.matrix_rank(a) < dim * dim:
             raise ValueError("singular design: settings are not informationally complete")
         _PINV_CACHE[key] = (a, np.linalg.pinv(a), dim)
@@ -202,10 +206,10 @@ def _physical(h: np.ndarray) -> np.ndarray:
 def project_to_physical(h: np.ndarray, dims=None) -> DensityMatrix:
     """Nearest density matrix: clip negative eigenvalue mass, keep the trace."""
     h = np.asarray(h, dtype=complex)
-    if hermiticity_defect(h) > 1e-9:
+    if hermiticity_defect(h) > HERM_TOL:
         raise ValueError("project_to_physical expects a Hermitian matrix")
     tr = h.trace().real
-    if abs(tr - 1.0) > 0.1:
+    if abs(tr - 1.0) > ESTIMATE_TRACE_TOL:
         raise ValueError(f"trace {tr} too far from 1")
     d = h.shape[0]
     if dims is None:

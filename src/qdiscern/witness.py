@@ -26,6 +26,8 @@ from .channels import (
     system_unitary,
 )
 from .linalg import (
+    CROSS_CHECK_TOL,
+    RANGE_SLACK,
     DensityMatrix,
     NumericalError,
     check_finite,
@@ -50,7 +52,7 @@ class WitnessReport:
 
     def __post_init__(self):
         lo = -1.0 if self.kind == CORRELATION_WITNESS else 0.0
-        if not lo - 1e-9 <= self.value <= 1.0 + 1e-9:
+        if not lo - RANGE_SLACK <= self.value <= 1.0 + RANGE_SLACK:
             raise ValueError(f"{self.kind} value {self.value} outside [{lo}, 1]")
 
     def to_json(self) -> dict:
@@ -73,7 +75,7 @@ def discord_values(rho: np.ndarray, projs: np.ndarray) -> np.ndarray:
     value = check_finite(trace_distances(pinch(rho, projs), rho), "discord T")
     p = lift(projs)
     alt = trace_norm(p @ rho @ p - 0.5 * (p @ rho + rho @ p))
-    if np.any(np.abs(value - alt) > 1e-9):
+    if np.any(np.abs(value - alt) > CROSS_CHECK_TOL):
         raise NumericalError(f"discord forms disagree: {value} vs {alt}")
     return np.maximum(value, 0.0)
 

@@ -76,6 +76,27 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["config"]["emit_states"] is True
 
+    def test_reported_config_reproduces_the_run(self, capsys, tmp_path):
+        code, first, _ = run(capsys, "classify", "--family", "cc", "--lambda", "0.64",
+                             "--mode", "simulated", "--shots", "2000", "--bootstrap", "20",
+                             "--seed", "3", "--emit-states")
+        report = json.loads(first)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**report["config"], **report["family_params"]}))
+        rerun, again, _ = run(capsys, "classify", "--config", str(cfg))
+        assert (code, rerun) == (0, 0)
+        assert again == first
+
+    @pytest.mark.parametrize("entry", [{"bootstrap": 20}, {"emit_states": "false"}],
+                             ids=["unknown-key", "non-boolean-emit-states"])
+    def test_bad_config_entry_is_exit_2(self, capsys, tmp_path, entry):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"family": "cc", "lambda": 0.64, **entry}))
+        code, out, err = run(capsys, "classify", "--config", str(cfg))
+        assert code == 2
+        assert next(iter(entry)) in err
+        assert out == ""
+
 
 NON_FINITE = [
     ("classify", "--phi", "nan"),

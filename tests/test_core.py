@@ -9,9 +9,10 @@ from numpy.testing import assert_allclose
 
 import oracle
 from qdiscern import kernels
-from qdiscern.channels import eigenprojectors, half_wave_plate, pinch
+from qdiscern.channels import eigenprojectors, evolve, half_wave_plate, pinch, rotate
 from qdiscern.linalg import DEGENERACY_GAP, partial_trace, random_density
-from qdiscern.states import qc_matrices
+from qdiscern.protocol import ProtocolConfig, classify, growth_stat, td_stat
+from qdiscern.states import FamilyParams, qc_matrices
 from qdiscern.witness import discord_values, growth_values, td_values
 
 TOL = 1e-12
@@ -99,3 +100,44 @@ def test_closed_form_kernel_equals_generic_td(points, phi):
     rhos = qc_matrices(lam, theta)
     generic = td_values(rhos, phi, eigenprojectors(rhos)[0])
     assert_allclose(kernels.td_qc_points(lam, theta, phi), generic, rtol=0, atol=TOL)
+
+
+def _identity(x):
+    return x
+
+
+@PROPERTY
+@given(stacks, phis)
+def test_td_stat_with_identity_measure_is_td_values(rhos, phi):
+    projs, _ = eigenprojectors(rhos)
+    m = partial_trace(evolve(rhos, phi), 0)
+    md = partial_trace(evolve(pinch(rhos, projs), phi), 0)
+    td, est_m, est_md = td_stat(m, md, _identity)
+    assert_allclose(td, td_values(rhos, phi, projs), rtol=0, atol=1e-15)
+    assert est_m is m and est_md is md
+
+
+@PROPERTY
+@given(stacks, phis, angles)
+def test_growth_stat_with_identity_measure_is_growth_values(rhos, phi, alpha):
+    v = half_wave_plate(alpha)
+    rho_u = rotate(rhos, v)
+    marginals = [partial_trace(s, 0) for s in (rhos, rho_u, evolve(rhos, phi), evolve(rho_u, phi))]
+    growth, estimates = growth_stat(marginals, _identity)
+    assert_allclose(growth, growth_values(rhos, v, phi), rtol=0, atol=1e-15)
+    assert all(e is m for e, m in zip(estimates, marginals))
+
+
+# states whose system marginal is degenerate at lambda = 1/2, with their verdict
+NEAR_DEGENERATE = {("CC", 0.0): "CC", ("F", 0.0): "F", ("QC", np.pi / 2): "CC"}
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(NEAR_DEGENERATE)), st.floats(-1e-9, 1e-9))
+@example(("QC", np.pi / 2), 0.0)
+@example(("CC", 0.0), DEGENERACY_GAP / 2)
+@example(("F", 0.0), -DEGENERACY_GAP / 2)
+def test_exact_verdicts_stable_at_near_degenerate_marginals(family, delta):
+    name, theta = family
+    res = classify(FamilyParams(name, 0.5 + delta, theta).build(), ProtocolConfig())
+    assert res.verdict == NEAR_DEGENERATE[family]

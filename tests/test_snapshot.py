@@ -2,8 +2,10 @@
 the reported statistics of a fixed set of seeded runs must match the
 snapshot in tests/data/sim_snapshot.json.
 
-Counts must be identical; floats must agree within FLOAT_TOL, because
-batched and one-at-a-time linear algebra may round differently.
+Counts must be identical; floats and emitted matrices must agree within
+FLOAT_TOL, because batched and one-at-a-time linear algebra may round
+differently. The `retry_cases` run a blind first phase (phi = 0) with a
+pi retry and emit the estimated states.
 
 Regenerate the snapshot (only on purpose, when the seed-stream contract
 changes) with:  PYTHONPATH=src python tests/test_snapshot.py
@@ -27,6 +29,8 @@ SHOTS, BOOTSTRAP = 20_000, 50
 FLOAT_TOL = 1e-12
 FLOATS = ("td_value", "td_sigma", "growth_value", "growth_sigma",
           "stage1_threshold", "stage2_threshold")
+RETRY_SEEDS = range(10)
+RETRY = {"phi": 0.0, "retry_phis": (math.pi,), "emit_states": True}
 
 
 _default_rng = np.random.default_rng
@@ -60,16 +64,17 @@ def _counts_hash(draws) -> str:
     return h.hexdigest()
 
 
-def run_case(params: FamilyParams, seed: int) -> dict:
+def run_case(params: FamilyParams, seed: int, **options) -> dict:
     draws = []
     np.random.default_rng = lambda s=None: _RecordingGenerator(s, draws)
     try:
-        cfg = ProtocolConfig(mode="simulated", shots=SHOTS, bootstrap_samples=BOOTSTRAP, seed=seed)
+        cfg = ProtocolConfig(mode="simulated", shots=SHOTS, bootstrap_samples=BOOTSTRAP,
+                             seed=seed, **options)
         res = classify_simulated(params, cfg)
     finally:
         np.random.default_rng = _default_rng
     g = res.growth_report
-    return {
+    case = {
         "family": params.family,
         "seed": seed,
         "verdict": res.verdict,
@@ -81,32 +86,51 @@ def run_case(params: FamilyParams, seed: int) -> dict:
         "stage1_threshold": res.thresholds_used["stage1_threshold"],
         "stage2_threshold": res.thresholds_used["stage2_threshold"],
     }
+    if res.intermediate_states is not None:
+        case["states"] = {k: v.to_json()["entries"] for k, v in res.intermediate_states.items()}
+    return case
 
 
 @pytest.fixture(scope="module")
 def snapshot():
     data = json.loads(SNAPSHOT.read_text())
-    return {(c["family"], c["seed"]): c for c in data["cases"]}
+    return {key: {(c["family"], c["seed"]): c for c in data[key]}
+            for key in ("cases", "retry_cases")}
+
+
+def _check(got: dict, want: dict, where):
+    assert got["verdict"] == want["verdict"], where
+    assert got["counts_sha256"] == want["counts_sha256"], where
+    for key in FLOATS:
+        if want[key] is None:
+            assert got[key] is None, (where, key)
+        else:
+            assert abs(got[key] - want[key]) <= FLOAT_TOL, (where, key)
+    assert set(got.get("states", {})) == set(want.get("states", {})), where
+    for name, entries in want.get("states", {}).items():
+        diff = np.abs(np.array(got["states"][name]) - np.array(entries)).max()
+        assert diff <= FLOAT_TOL, (where, name, diff)
 
 
 @pytest.mark.parametrize("params", STATES, ids=lambda p: p.family)
 def test_simulated_runs_match_snapshot(params, snapshot):
     for seed in SEEDS:
-        want = snapshot[(params.family, seed)]
-        got = run_case(params, seed)
-        assert got["verdict"] == want["verdict"], (params, seed)
-        assert got["counts_sha256"] == want["counts_sha256"], (params, seed)
-        for key in FLOATS:
-            if want[key] is None:
-                assert got[key] is None, (params, seed, key)
-            else:
-                assert abs(got[key] - want[key]) <= FLOAT_TOL, (params, seed, key)
+        _check(run_case(params, seed), snapshot["cases"][(params.family, seed)], (params, seed))
+
+
+@pytest.mark.parametrize("params", STATES, ids=lambda p: p.family)
+def test_retried_runs_with_emitted_states_match_snapshot(params, snapshot):
+    for seed in RETRY_SEEDS:
+        _check(run_case(params, seed, **RETRY), snapshot["retry_cases"][(params.family, seed)],
+               (params, seed))
 
 
 if __name__ == "__main__":
     cases = [run_case(p, s) for p in STATES for s in SEEDS]
+    retry_cases = [run_case(p, s, **RETRY) for p in STATES for s in RETRY_SEEDS]
     SNAPSHOT.parent.mkdir(exist_ok=True)
     SNAPSHOT.write_text(json.dumps({
         "shots": SHOTS, "bootstrap_samples": BOOTSTRAP, "cases": cases,
+        "retry_cases": retry_cases,
     }, indent=1) + "\n")
-    print(f"wrote {len(cases)} cases to {SNAPSHOT}")
+    print(f"wrote {len(cases) + len(retry_cases)} cases to {SNAPSHOT}")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qdiscern import tomography
 from qdiscern.linalg import DensityMatrix, random_density, trace_distance
 from qdiscern.states import make_cc, make_f, make_qc
 from qdiscern.tomography import (
@@ -94,6 +95,17 @@ class TestLinearInversion:
         settings = default_settings(1)
         for _ in range(10):
             rho = random_density(rng, 2)
+            freqs = np.concatenate([outcome_probabilities(rho.mat, s) for s in settings])
+            assert np.abs(linear_inversion(settings, freqs) - rho.mat).max() < 1e-10
+
+    @pytest.mark.parametrize("reordered_first", [False, True])
+    def test_design_cache_tells_reordered_projectors_apart(self, monkeypatch, reordered_first):
+        # same labels, Z outcomes swapped: a different design
+        monkeypatch.setattr(tomography, "_PINV_CACHE", {})
+        z, x, y = default_settings(1)
+        designs = [[z, x, y], [MeasurementSetting("Z", z.projectors[::-1]), x, y]]
+        rho = random_density(np.random.default_rng(5), 2)
+        for settings in designs[::-1] if reordered_first else designs:
             freqs = np.concatenate([outcome_probabilities(rho.mat, s) for s in settings])
             assert np.abs(linear_inversion(settings, freqs) - rho.mat).max() < 1e-10
 
