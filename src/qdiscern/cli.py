@@ -27,6 +27,7 @@ from .protocol import ProtocolConfig, classify
 from .states import FamilyParams, qc_matrices
 from .witness import discord_values, growth_values, td_values
 
+SWEEP_CHUNK_POINTS = 4096  # grid points per batched witness call in `sweep`: 1 MB of 4x4 states
 _CONFIG_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ProtocolConfig)}
 _FAMILY_DEFAULTS = {"family": None, "lambda": None, "theta": None}
 
@@ -147,20 +148,23 @@ def cmd_sweep(args) -> int:
 
     td_grid = kernels.td_qc_grid(lams, thetas, phi) if quantity in ("Td", "all") else None
     row_prefixes = [f"{_fmt(theta)},{_fmt(phi)}" for theta in thetas]
-    for i, lam in enumerate(lams):
-        # one lambda row at a time keeps the stacked states at len(thetas) x 4 x 4
+    # T and growth in chunks of whole lambda rows, about SWEEP_CHUNK_POINTS states (at least one row)
+    chunk_rows = max(1, SWEEP_CHUNK_POINTS // len(thetas))
+    for start in range(0, len(lams), chunk_rows):
+        rows = slice(start, start + chunk_rows)
         columns = []
         if quantity != "Td":
-            rho = qc_matrices(lam, thetas)
+            rho = qc_matrices(lams[rows, None], thetas)
         if quantity in ("T", "all"):
             columns.append(discord_values(rho, eigenprojectors(rho)[0]))
         if quantity in ("Td", "all"):
-            columns.append(td_grid[i])
+            columns.append(td_grid[rows])
         if quantity in ("growth", "all"):
             columns.append(growth_values(rho, hwp, phi))
-        lam_s = _fmt(lam)
-        for prefix, *values in zip(row_prefixes, *(c.tolist() for c in columns)):
-            lines.append(",".join([lam_s, prefix, *map(repr, values)]))
+        for lam, *row_values in zip(lams[rows].tolist(), *(c.tolist() for c in columns)):
+            lam_s = _fmt(lam)
+            for prefix, *values in zip(row_prefixes, *row_values):
+                lines.append(",".join([lam_s, prefix, *map(repr, values)]))
     _write_lines(lines, args.output)
     return 0
 

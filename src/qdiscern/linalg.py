@@ -49,10 +49,6 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
-    return hermiticity_defect(m) <= tol
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix with subsystem dimension metadata."""
@@ -152,7 +148,9 @@ def partial_trace(rho, keep: int):
     m = rho.mat if wrapped else np.asarray(rho)
     d0, d1 = dims
     t = m.reshape(*m.shape[:-2], d0, d1, d0, d1)
-    marg = np.trace(t, axis1=-3, axis2=-1) if keep == 0 else np.trace(t, axis1=-4, axis2=-2)
+    # the diagonal slices added in order: the same floats as np.trace, without its reduction
+    terms = [t[..., :, k, :, k] for k in range(d1)] if keep == 0 else [t[..., k, :, k, :] for k in range(d0)]
+    marg = sum(terms[1:], terms[0])
     return DensityMatrix(marg, (dims[keep],)) if wrapped else marg
 
 
@@ -179,8 +177,17 @@ def herm_eig(h) -> HermEigResult:
 
 
 def trace_norm(m):
-    """Sum of absolute eigenvalues of Hermitian (..., d, d) input."""
-    return np.abs(np.linalg.eigvalsh(_as_array(m))).sum(axis=-1)
+    """Sum of absolute eigenvalues of Hermitian (..., d, d) input.
+
+    For d = 2 the eigenvalues are (tr m ± r) / 2 with
+    r = sqrt((m00 - m11)^2 + 4 |m10|^2), so the norm is max(|tr m|, r).
+    Like `eigvalsh`, it reads the diagonal's real part and the lower triangle.
+    """
+    m = _as_array(m)
+    if m.shape[-1] != 2:
+        return np.abs(np.linalg.eigvalsh(m)).sum(axis=-1)
+    a, d, b = m[..., 0, 0].real, m[..., 1, 1].real, m[..., 1, 0]
+    return np.maximum(np.abs(a + d), np.sqrt((a - d) ** 2 + 4 * (b.real ** 2 + b.imag ** 2)))
 
 
 def trace_distance(a, b) -> float:

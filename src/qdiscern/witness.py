@@ -8,6 +8,24 @@
 * ``witness_growth``: growth of the system-marginal distinguishability
   between a state and its locally rotated twin (a classical-correlation
   witness).
+
+The array functions work on 2x2 system blocks; only T's cross-check
+lifts to 4x4. With rho_e = <e|rho|e> the environment-diagonal blocks of rho,
+Q = 1 - Pi, and U(phi) = sum_e D_e x |e><e| where D_0 = 1 and
+D_1 = diag(e^{i phi}, 1):
+
+* tr_E[U X U^dagger] = sum_e D_e X_e D_e^dagger for any X, since the
+  partial trace keeps only the blocks X_e and U is block diagonal;
+* rho - pinch(rho) has the blocks Pi rho_e Q + Q rho_e Pi, so
+  Td = 1/2 || sum_e D_e (Pi rho_e Q + Q rho_e Pi) D_e^dagger ||_1;
+* growth = 1/2 || sum_e D_e (V rho_e V^dagger - rho_e) D_e^dagger ||_1
+  - 1/2 || sum_e (V rho_e V^dagger - rho_e) ||_1;
+* rho - pinch(rho) = |pi><pi_perp| x C + h.c. with the 2x2 environment
+  operator C_ab = sum_{s,s'} conj(pi_s) rho[s a, s' b] pi_perp_{s'}; its
+  eigenvalues are +-sigma_i(C), so T = sigma_1 + sigma_2
+  = sqrt(||C||_F^2 + 2 |det C|).
+
+Every 2x2 trace norm is the closed form of `linalg.trace_norm`.
 """
 
 from __future__ import annotations
@@ -16,21 +34,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import (
-    Projector,
-    eigenprojectors,
-    evolve,
-    lift,
-    pinch,
-    rotate,
-    system_unitary,
-)
+from .channels import Projector, eigenprojectors, lift, system_unitary
 from .linalg import (
     CROSS_CHECK_TOL,
     RANGE_SLACK,
     DensityMatrix,
     NumericalError,
     check_finite,
+    kron,
     partial_trace,
     trace_distances,
     trace_norm,
@@ -65,33 +76,71 @@ class WitnessReport:
         }
 
 
+def _blocks(rho: np.ndarray) -> np.ndarray:
+    """The environment-diagonal system blocks rho_e (..., 2, 2, 2), e on axis -3."""
+    t = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)
+    return np.stack([t[..., :, 0, :, 0], t[..., :, 1, :, 1]], axis=-3)
+
+
+def _sandwich(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b^dagger for broadcast (..., 2, 2) operators, as one contraction
+    with the superoperator a (x) conj(b) acting on the row-major vec(x)."""
+    out = np.einsum("...ij,...j->...i", kron(a, b.conj()), x.reshape(*x.shape[:-2], 4))
+    return out.reshape(*out.shape[:-1], 2, 2)
+
+
+def _evolved_marginal(x: np.ndarray, phi) -> np.ndarray:
+    """sum_e D_e x_e D_e^dagger: the system marginal after U(phi) of an
+    operator with environment-diagonal blocks x (..., 2, 2, 2)."""
+    u = np.exp(1j * np.asarray(phi, dtype=float))
+    d = np.stack([u, np.ones_like(u)], axis=-1)  # the diagonal of D_1
+    return x[..., 0, :, :] + d[..., :, None] * d.conj()[..., None, :] * x[..., 1, :, :]
+
+
+def _kets(projs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit kets pi, pi_perp with Pi = |pi><pi| and 1 - Pi = |pi_perp><pi_perp|,
+    each up to a phase: pi is the column of Pi with the larger diagonal entry,
+    normalized, and pi_perp = (-conj(pi_1), conj(pi_0))."""
+    p00, p11 = projs[..., 0, 0].real, projs[..., 1, 1].real
+    first = (p00 >= p11)[..., None]
+    ket = np.where(first, projs[..., :, 0], projs[..., :, 1]) / np.sqrt(np.maximum(p00, p11))[..., None]
+    return ket, np.stack([-ket[..., 1].conj(), ket[..., 0].conj()], axis=-1)
+
+
 def discord_values(rho: np.ndarray, projs: np.ndarray) -> np.ndarray:
     """T for stacked states (..., 4, 4) and system projectors (..., 2, 2).
 
-    Cross-checks the equivalent anticommutator form
-    || Pi rho Pi - (Pi rho + rho Pi)/2 ||_1 and raises NumericalError if
-    the two disagree, guarding the projector-lifting convention.
+    Cross-checks ||C||_F against ||(Pi x 1) rho ((1 - Pi) x 1)||_F, built
+    through `lift`, and raises NumericalError if the two disagree, guarding
+    the projector-lifting convention and the kets taken from Pi.
     """
-    value = check_finite(trace_distances(pinch(rho, projs), rho), "discord T")
+    ket, perp = _kets(projs)
+    c = np.einsum("...s,...satb->...atb", ket.conj(), rho.reshape(*rho.shape[:-2], 2, 2, 2, 2))
+    c = np.einsum("...atb,...t->...ab", c, perp)
+    frob2 = (c.real ** 2 + c.imag ** 2).sum(axis=(-2, -1))
+    det = c[..., 0, 0] * c[..., 1, 1] - c[..., 0, 1] * c[..., 1, 0]
+    value = check_finite(np.sqrt(frob2 + 2 * np.abs(det)), "discord T")
     p = lift(projs)
-    alt = trace_norm(p @ rho @ p - 0.5 * (p @ rho + rho @ p))
-    if np.any(np.abs(value - alt) > CROSS_CHECK_TOL):
-        raise NumericalError(f"discord forms disagree: {value} vs {alt}")
-    return np.maximum(value, 0.0)
+    frob, alt = np.sqrt(frob2), np.linalg.norm(p @ rho @ (np.eye(4) - p), axis=(-2, -1))
+    if np.any(np.abs(frob - alt) > CROSS_CHECK_TOL):
+        raise NumericalError(f"discord forms disagree: {frob} vs {alt}")
+    return value
 
 
 def td_values(rho: np.ndarray, phi, projs: np.ndarray) -> np.ndarray:
     """Td for stacked states, phases and system projectors (broadcast)."""
-    m = partial_trace(evolve(rho, phi), 0)
-    m_d = partial_trace(evolve(pinch(rho, projs), phi), 0)
-    return check_finite(trace_distances(m_d, m), "witness Td")
+    pq = _sandwich(projs[..., None, :, :], _blocks(rho), (np.eye(2) - projs)[..., None, :, :])
+    coherences = pq + np.swapaxes(pq.conj(), -1, -2)  # Pi rho_e Q + Q rho_e Pi
+    return check_finite(0.5 * trace_norm(_evolved_marginal(coherences, phi)), "witness Td")
 
 
 def growth_values(rho: np.ndarray, v: np.ndarray, phi) -> np.ndarray:
     """T_u(t) - T_u(0) for stacked states, system unitaries and phases."""
-    rho_u = rotate(rho, v)
-    t0 = trace_distances(partial_trace(rho_u, 0), partial_trace(rho, 0))
-    t1 = trace_distances(partial_trace(evolve(rho_u, phi), 0), partial_trace(evolve(rho, phi), 0))
+    m = partial_trace(rho, 0)
+    t0 = trace_distances(_sandwich(v, m, v), m)
+    blocks = _blocks(rho)
+    vb = v[..., None, :, :]
+    t1 = 0.5 * trace_norm(_evolved_marginal(_sandwich(vb, blocks, vb) - blocks, phi))
     return check_finite(t1 - t0, "growth witness")
 
 

@@ -2,8 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
-from qdiscern.cli import main
+import oracle
+from qdiscern.channels import eigenprojectors, half_wave_plate
+from qdiscern.cli import SWEEP_CHUNK_POINTS, main
+from qdiscern.states import qc_matrices
+from qdiscern.witness import discord_values, growth_values
 
 PI = repr(float(np.pi))
 
@@ -176,6 +181,30 @@ class TestSweep:
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
+
+    def test_chunked_rows_equal_per_row_values_and_oracle(self, capsys):
+        n_theta = 64
+        chunk_rows = SWEEP_CHUNK_POINTS // n_theta
+        n_lam = 2 * chunk_rows + 5  # two whole chunks and a partial one
+        code, out, _ = run(capsys, "sweep", "--quantity", "all", "--lambda-grid", f"0:1:{n_lam}",
+                           "--theta-grid", f"0:1.5707963267948966:{n_theta}")
+        assert code == 0
+        table = np.array([[float(x) for x in line.split(",")] for line in out.splitlines()[2:]])
+        assert table.shape == (n_lam * n_theta, 6)
+        table = table.reshape(n_lam, n_theta, 6)
+        thetas = table[0, :, 1]
+        hwp = half_wave_plate(np.pi / 8)
+        for lam, row in zip(table[:, 0, 0], table):
+            rho = qc_matrices(lam, thetas)
+            assert_allclose(row[:, 3], discord_values(rho, eigenprojectors(rho)[0]), rtol=0, atol=1e-12)
+            assert_allclose(row[:, 5], growth_values(rho, hwp, np.pi), rtol=0, atol=1e-12)
+        rng = np.random.default_rng(5)
+        for i, j in zip(rng.integers(0, n_lam, 40), rng.integers(0, n_theta, 40)):
+            lam, theta, phi, t, td, growth = table[i, j]
+            rho = oracle.qc(lam, theta)
+            want = (oracle.discord(rho), oracle.td_witness(rho, phi),
+                    oracle.growth(rho, oracle.hwp(np.pi / 8), phi))
+            assert_allclose([t, td, growth], want, rtol=0, atol=1e-12)
 
     def test_grid_out_of_range(self, capsys):
         code, _, _ = run(capsys, "sweep", "--lambda-grid", "0.5:1.5:3",

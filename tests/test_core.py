@@ -43,6 +43,10 @@ stacks = st.lists(states(), min_size=1, max_size=6).map(np.array)
 
 @PROPERTY
 @given(stacks, phis, angles)
+# degenerate marginals (the |H><H| fallback projector) and a pure product state
+@example(np.array([oracle.fact(0.5)]), np.pi, np.pi / 8)
+@example(np.array([oracle.qc(0.5, np.pi / 2)]), np.pi, np.pi / 8)
+@example(np.array([oracle.cc(0.0), oracle.cc(1.0)]), np.pi / 3, 0.3)
 def test_stacked_equals_batch_of_one_and_oracle(rhos, phi, alpha):
     v = half_wave_plate(alpha)
     projs, _ = eigenprojectors(rhos)

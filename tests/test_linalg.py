@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from qdiscern.linalg import (
     DensityMatrix,
@@ -14,6 +14,7 @@ from qdiscern.linalg import (
     random_density,
     random_unitary,
     trace_distance,
+    trace_norm,
 )
 from qdiscern.states import make_cc, make_f, make_qc
 
@@ -64,6 +65,15 @@ class TestPartialTrace:
     def test_requires_bipartite(self):
         with pytest.raises(ValueError):
             partial_trace(diag_state(0.5, 0.5), 0)
+
+    @pytest.mark.parametrize("keep", [0, 1])
+    def test_equals_np_trace_bit_for_bit(self, keep):
+        # Born probabilities go through this marginal; their float order must not move
+        rng = np.random.default_rng(14)
+        rho = rng.normal(size=(7, 3, 4, 4)) + 1j * rng.normal(size=(7, 3, 4, 4))
+        t = rho.reshape(7, 3, 2, 2, 2, 2)
+        want = np.trace(t, axis1=-3, axis2=-1) if keep == 0 else np.trace(t, axis1=-4, axis2=-2)
+        assert_array_equal(partial_trace(rho, keep), want)
 
 
 class TestHermEig:
@@ -141,6 +151,17 @@ class TestTraceDistance:
             b = random_density(rng, 4, (2, 2))
             assert trace_distance(partial_trace(a, 1), partial_trace(b, 1)) \
                 <= trace_distance(a, b) + 1e-9
+
+
+class TestTraceNorm:
+    @pytest.mark.parametrize("trace", [0.0, 0.7, -1.3])
+    def test_2x2_closed_form_equals_eigenvalue_sum(self, trace):
+        rng = np.random.default_rng(15)
+        g = rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2))
+        h = g + np.swapaxes(g.conj(), -1, -2)
+        h += (trace - np.trace(h, axis1=-2, axis2=-1).real)[:, None, None] / 2 * np.eye(2)
+        want = np.abs(np.linalg.eigvalsh(h)).sum(axis=-1)
+        assert_allclose(trace_norm(h), want, rtol=0, atol=1e-12)
 
 
 class TestDensityMatrixValidation:

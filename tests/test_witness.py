@@ -3,8 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracle
+from qdiscern import witness
 from qdiscern.channels import half_wave_plate
-from qdiscern.linalg import NumericalError, random_density
+from qdiscern.linalg import NumericalError, kron, random_density
 from qdiscern.states import make_cc, make_f, make_qc
 from qdiscern.witness import (
     CORRELATION_WITNESS,
@@ -152,6 +153,13 @@ class TestWitnessReport:
         rng = np.random.default_rng(36)
         for _ in range(50):
             discord_T(random_density(rng, 4, (2, 2)))
+
+    def test_discord_cross_check_catches_a_wrong_lift(self, monkeypatch):
+        # 1 x Pi instead of Pi x 1: the lifted form no longer matches ||C||_F
+        monkeypatch.setattr(witness, "lift", lambda op: kron(np.eye(2), op))
+        rho = random_density(np.random.default_rng(37), 4, (2, 2))
+        with pytest.raises(NumericalError, match="discord forms disagree"):
+            discord_T(rho)
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
