@@ -12,7 +12,9 @@ input, 3 internal numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import numbers
@@ -28,6 +30,7 @@ from .states import FamilyParams, qc_matrices
 from .witness import discord_values, growth_values, td_values
 
 SWEEP_CHUNK_POINTS = 4096  # grid points per batched witness call in `sweep`: 1 MB of 4x4 states
+SWEEP_QUANTITIES = ("T", "Td", "growth", "all")
 _CONFIG_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ProtocolConfig)}
 _FAMILY_DEFAULTS = {"family": None, "lambda": None, "theta": None}
 
@@ -37,7 +40,8 @@ def _fmt(x: float) -> str:
 
 
 def _check_finite(name: str, *values):
-    if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in values):
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+               for v in values):
         raise ValueError(f"not a finite number: {name} = {', '.join(map(repr, values))}")
 
 
@@ -96,13 +100,14 @@ def _family_params(opts: dict) -> FamilyParams:
     return FamilyParams(str(opts["family"]).upper(), float(opts["lambda"]), float(opts["theta"] or 0.0))
 
 
+def _open_output(output: str | None):
+    """The file `output`, opened for writing, or stdout (left open on exit)."""
+    return open(output, "w") if output else contextlib.nullcontext(sys.stdout)
+
+
 def _write_lines(lines: list[str], output: str | None):
-    text = "\n".join(lines) + "\n"
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _open_output(output) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def cmd_classify(args) -> int:
@@ -133,39 +138,45 @@ def cmd_sweep(args) -> int:
     if lams.min() < 0 or lams.max() > 1 or thetas.min() < 0 or thetas.max() > np.pi / 2:
         raise ValueError("grids must lie within lambda in [0,1], theta in [0, pi/2]")
     quantity = opts["quantity"]
+    if quantity not in SWEEP_QUANTITIES:
+        raise ValueError(f"quantity must be one of {', '.join(SWEEP_QUANTITIES)}, got {quantity!r}")
     phi = opts["phi"]
     _check_finite("phi", phi)
     _check_finite("hwp_angle", opts["hwp_angle"])
     hwp = half_wave_plate(opts["hwp_angle"])
+
+    # chunks of whole lambda rows, about SWEEP_CHUNK_POINTS points (at least one row)
+    chunk_rows = max(1, SWEEP_CHUNK_POINTS // len(thetas))
+    chunks = [slice(start, start + chunk_rows) for start in range(0, len(lams), chunk_rows)]
+    # every value first, so that a numerical failure (exit 3) writes nothing
+    columns = ["T", "Td", "growth"] if quantity == "all" else [quantity]
+    values = {name: np.empty((len(lams), len(thetas))) for name in columns}
+    for rows in chunks:
+        if quantity != "Td":
+            rho = qc_matrices(lams[rows, None], thetas)
+        if "T" in values:
+            values["T"][rows] = discord_values(rho, eigenprojectors(rho)[0])
+        if "Td" in values:
+            values["Td"][rows] = kernels.td_qc_grid(lams[rows], thetas, phi)
+        if "growth" in values:
+            values["growth"][rows] = growth_values(rho, hwp, phi)
 
     resolved = {
         "command": "sweep", "quantity": quantity, "phi": phi,
         "hwp_angle": opts["hwp_angle"], "backend": kernels.BACKEND,
         "lambda_grid": args.lambda_grid, "theta_grid": args.theta_grid,
     }
-    lines = ["# " + json.dumps(resolved, sort_keys=True)]
-    lines.append("lambda,theta,phi,T,Td,growth" if quantity == "all" else "lambda,theta,phi,value")
-
-    td_grid = kernels.td_qc_grid(lams, thetas, phi) if quantity in ("Td", "all") else None
+    header = "# " + json.dumps(resolved, sort_keys=True) + "\n"
+    header += "lambda,theta,phi,T,Td,growth\n" if quantity == "all" else "lambda,theta,phi,value\n"
     row_prefixes = [f"{_fmt(theta)},{_fmt(phi)}" for theta in thetas]
-    # T and growth in chunks of whole lambda rows, about SWEEP_CHUNK_POINTS states (at least one row)
-    chunk_rows = max(1, SWEEP_CHUNK_POINTS // len(thetas))
-    for start in range(0, len(lams), chunk_rows):
-        rows = slice(start, start + chunk_rows)
-        columns = []
-        if quantity != "Td":
-            rho = qc_matrices(lams[rows, None], thetas)
-        if quantity in ("T", "all"):
-            columns.append(discord_values(rho, eigenprojectors(rho)[0]))
-        if quantity in ("Td", "all"):
-            columns.append(td_grid[rows])
-        if quantity in ("growth", "all"):
-            columns.append(growth_values(rho, hwp, phi))
-        for lam, *row_values in zip(lams[rows].tolist(), *(c.tolist() for c in columns)):
-            lam_s = _fmt(lam)
-            for prefix, *values in zip(row_prefixes, *row_values):
-                lines.append(",".join([lam_s, prefix, *map(repr, values)]))
-    _write_lines(lines, args.output)
+    with _open_output(args.output) as fh:
+        fh.write(header)
+        # one write per chunk; str.join, zip and map assemble the rows in C
+        for rows in chunks:
+            lam_row = lams[rows].tolist()
+            lam_col = itertools.chain.from_iterable(itertools.repeat(_fmt(lam), len(thetas)) for lam in lam_row)
+            cols = [map(repr, col[rows].ravel().tolist()) for col in values.values()]
+            fh.write("\n".join(map(",".join, zip(lam_col, row_prefixes * len(lam_row), *cols))) + "\n")
     return 0
 
 
@@ -210,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(func=cmd_classify)
 
     ps = sub.add_parser("sweep", help="witness values over a (lambda, theta) grid")
-    ps.add_argument("--quantity", choices=["T", "Td", "growth", "all"])
+    ps.add_argument("--quantity", choices=SWEEP_QUANTITIES)
     ps.add_argument("--lambda-grid", dest="lambda_grid", required=True, help="start:stop:count")
     ps.add_argument("--theta-grid", dest="theta_grid", required=True, help="start:stop:count")
     ps.add_argument("--phi", type=float)

@@ -11,6 +11,11 @@ arrays, with no 4x4 state ever built:
 * the phase gate multiplies channel-1 off-diagonals by e^{i phi},
 * Td = sqrt(a^2 + |b|^2) for the traceless Hermitian marginal difference.
 
+`td_qc_grid` broadcasts a column of lambdas against a row of thetas, so
+cos and sin run once per theta and the (lambda, theta) arrays are never
+expanded; each grid point gets the same arithmetic as in `td_qc_points`,
+so the two agree bit for bit.
+
 ``witness.td_values`` on ``states.qc_matrices`` is the generic form of the
 same quantity; the tests hold the two equal.
 """
@@ -30,6 +35,16 @@ def td_qc_points(lams, thetas, phi: float) -> np.ndarray:
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if lams.shape != thetas.shape:
         raise ValueError("lams and thetas must have matching shapes")
+    return _td_qc(lams, thetas, phi)
+
+
+def td_qc_grid(lams, thetas, phi: float) -> np.ndarray:
+    """Td on the outer grid, shape (len(lams), len(thetas))."""
+    return _td_qc(np.asarray(lams, dtype=float)[:, None], np.asarray(thetas, dtype=float), phi)
+
+
+def _td_qc(lams: np.ndarray, thetas: np.ndarray, phi: float) -> np.ndarray:
+    """Td for lams and thetas broadcast against each other."""
     phi = float(phi)
     c, s = np.cos(thetas), np.sin(thetas)
     w = 1.0 - lams
@@ -53,15 +68,10 @@ def td_qc_points(lams, thetas, phi: float) -> np.ndarray:
         m10 = (p01 * x00 + p11 * x01) * q00 + (p01 * x01 + p11 * x11) * q01
         return -2.0 * m00, -(m01 + m10)
 
-    c0_00, c0_01 = coherence(np.ones_like(c), np.zeros_like(c), np.zeros_like(c))
+    c0_00, c0_01 = coherence(1.0, 0.0, 0.0)
     c1_00, c1_01 = coherence(c * c, c * s, s * s)
 
     a = lams * c0_00 + w * c1_00
     b = lams * c0_01 + w * np.exp(1j * phi) * c1_01
     return check_finite(np.sqrt(a * a + np.abs(b) ** 2), "witness Td")
 
-
-def td_qc_grid(lams, thetas, phi: float) -> np.ndarray:
-    """Td on the outer grid, shape (len(lams), len(thetas))."""
-    lg, tg = np.meshgrid(np.asarray(lams, dtype=float), np.asarray(thetas, dtype=float), indexing="ij")
-    return td_qc_points(lg.ravel(), tg.ravel(), phi).reshape(lg.shape)

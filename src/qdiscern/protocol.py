@@ -73,7 +73,8 @@ class ProtocolConfig:
         floats = {"phi": self.phi, "hwp_angle": self.hwp_angle,
                   "threshold_sigma": self.threshold_sigma, "exact_epsilon": self.exact_epsilon,
                   **{f"retry_phis[{i}]": p for i, p in enumerate(self.retry_phis)}}
-        bad = [k for k, v in floats.items() if not (isinstance(v, numbers.Real) and math.isfinite(v))]
+        bad = [k for k, v in floats.items()
+               if not (isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v))]
         if bad:
             raise ValueError(f"not a finite number: {', '.join(bad)}")
         if self.mode not in ("exact", "simulated"):

@@ -1,16 +1,20 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import oracle
+from qdiscern import cli
 from qdiscern.channels import eigenprojectors, half_wave_plate
 from qdiscern.cli import SWEEP_CHUNK_POINTS, main
 from qdiscern.states import qc_matrices
 from qdiscern.witness import discord_values, growth_values
 
 PI = repr(float(np.pi))
+SWEEP_GOLDEN = json.loads((Path(__file__).parent / "data" / "sweep_sha256.json").read_text())
 
 
 def run(capsys, *argv):
@@ -114,6 +118,10 @@ NON_FINITE = [
     ("sweep", "--lambda-grid", "nan:0.9:2"),
     ("sweep", "--theta-grid", "nan:1.4:2"),
     ("phase-scan", "--phis", "0.5,nan"),
+    ("sweep", "--config", '{"phi": true}'),
+    ("sweep", "--config", '{"hwp_angle": false}'),
+    ("classify", "--config", '{"phi": true}'),
+    ("classify", "--config", '{"retry_phis": [true]}'),
 ]
 BASE_ARGV = {
     "classify": ["classify", "--family", "qc", "--lambda", "0.7", "--theta", "0.7"],
@@ -124,8 +132,12 @@ BASE_ARGV = {
 
 
 @pytest.mark.parametrize("command,flag,value", NON_FINITE, ids=lambda x: x)
-def test_non_finite_input_is_exit_2(capsys, command, flag, value):
+def test_non_finite_input_is_exit_2(capsys, tmp_path, command, flag, value):
     argv = [a for a in BASE_ARGV[command]]
+    if flag == "--config":
+        cfg = tmp_path / "c.json"
+        cfg.write_text(value)
+        value = str(cfg)
     if flag in argv:
         argv[argv.index(flag) + 1] = value
     else:
@@ -205,6 +217,48 @@ class TestSweep:
             want = (oracle.discord(rho), oracle.td_witness(rho, phi),
                     oracle.growth(rho, oracle.hwp(np.pi / 8), phi))
             assert_allclose([t, td, growth], want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("quantity", ["T", "Td", "growth", "all"])
+    @pytest.mark.parametrize("grid", sorted(SWEEP_GOLDEN["grids"]))
+    def test_output_bytes_match_golden_hashes(self, capsys, tmp_path, grid, quantity):
+        argv = ["sweep", "--quantity", quantity, *SWEEP_GOLDEN["grids"][grid]]
+        want = SWEEP_GOLDEN["sha256"][grid][quantity]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want["stdout"]
+        path = tmp_path / "sweep.csv"
+        code, out, _ = run(capsys, *argv, "--output", str(path))
+        assert (code, out) == (0, "")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want["output"]
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+    def test_failure_in_the_last_chunk_writes_nothing(self, capsys, tmp_path, monkeypatch, to_file):
+        chunk_sizes = []
+
+        def growth_nan_in_last_chunk(rho, v, phi):
+            chunk_sizes.append(len(rho))
+            # a NaN phase makes the growth values NaN, which their finite check rejects
+            return growth_values(rho, v, float("nan") if len(chunk_sizes) == 3 else phi)
+
+        monkeypatch.setattr(cli, "growth_values", growth_nan_in_last_chunk)
+        path = tmp_path / "sweep.csv"
+        argv = ["sweep", "--lambda-grid", "0:1:133", "--theta-grid", "0:1.5707963267948966:64"]
+        code, out, err = run(capsys, *argv, *(["--output", str(path)] if to_file else []))
+        assert code == 3
+        assert "not finite" in err
+        assert chunk_sizes == [64, 64, 5]
+        assert out == ""
+        assert not path.exists()
+
+    def test_config_quantity_outside_choices_is_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"quantity": "bogus"}))
+        code, out, err = run(capsys, "sweep", "--lambda-grid", "0.1:0.9:2",
+                             "--theta-grid", "0.1:1.4:2", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "'bogus'" in err
+        assert "T, Td, growth, all" in err
 
     def test_grid_out_of_range(self, capsys):
         code, _, _ = run(capsys, "sweep", "--lambda-grid", "0.5:1.5:3",

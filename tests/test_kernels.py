@@ -41,6 +41,21 @@ class TestGrid:
         assert g.shape == (3, 5)
         assert abs(g[1, 2] - general_td(lams[1], thetas[2], np.pi)) < 1e-12
 
+    @pytest.mark.parametrize("phi", [np.pi, 0.7])
+    def test_equals_points_on_the_raveled_meshgrid(self, phi):
+        # 37 lambdas hold 0.5 and the thetas end at pi/2: the degenerate marginal
+        lams = np.linspace(0, 1, 37)
+        thetas = np.linspace(0, np.pi / 2, 23)
+        lg, tg = np.meshgrid(lams, thetas, indexing="ij")
+        points = kernels.td_qc_points(lg.ravel(), tg.ravel(), phi).reshape(lg.shape)
+        assert np.array_equal(kernels.td_qc_grid(lams, thetas, phi), points)
+
+    def test_row_chunks_concatenate_to_the_full_grid(self):
+        lams = np.linspace(0, 1, 37)
+        thetas = np.linspace(0, np.pi / 2, 23)
+        chunks = [kernels.td_qc_grid(lams[i:i + 5], thetas, np.pi) for i in range(0, len(lams), 5)]
+        assert np.array_equal(np.concatenate(chunks), kernels.td_qc_grid(lams, thetas, np.pi))
+
     def test_non_finite_output_rejected(self):
         with pytest.raises(NumericalError, match="finite"):
             kernels.td_qc_grid([0.1, 0.9], [0.1, 1.4], float("nan"))

@@ -128,6 +128,7 @@ class TestStructure:
     @pytest.mark.parametrize("field,value", [
         ("phi", float("nan")), ("hwp_angle", float("inf")), ("threshold_sigma", float("inf")),
         ("exact_epsilon", float("nan")), ("retry_phis", (1.0, float("-inf"))), ("phi", "abc"),
+        ("phi", True), ("threshold_sigma", False), ("retry_phis", (1.0, True)),
     ])
     def test_config_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match="finite"):
