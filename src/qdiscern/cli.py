@@ -45,6 +45,12 @@ def _check_finite(name: str, *values):
         raise ValueError(f"not a finite number: {name} = {', '.join(map(repr, values))}")
 
 
+def _check_integer(name: str, value):
+    if not ((isinstance(value, numbers.Integral) and not isinstance(value, bool))
+            or (isinstance(value, float) and value.is_integer())):
+        raise ValueError(f"not an integer: {name} = {value!r}")
+
+
 def _parse_grid(text: str) -> np.ndarray:
     try:
         start, stop, count = text.split(":")
@@ -97,7 +103,10 @@ def _family_params(opts: dict) -> FamilyParams:
         raise ValueError("--family is required")
     if opts["lambda"] is None:
         raise ValueError("--lambda is required")
-    return FamilyParams(str(opts["family"]).upper(), float(opts["lambda"]), float(opts["theta"] or 0.0))
+    theta = 0.0 if opts["theta"] is None else opts["theta"]
+    _check_finite("lambda", opts["lambda"])
+    _check_finite("theta", theta)
+    return FamilyParams(str(opts["family"]).upper(), float(opts["lambda"]), float(theta))
 
 
 def _open_output(output: str | None):
@@ -115,6 +124,7 @@ def cmd_classify(args) -> int:
     params = _family_params(opts)
     kw = {k: opts[k] for k in _CONFIG_DEFAULTS}
     for key in ("shots", "bootstrap_samples", "seed"):
+        _check_integer(key, kw[key])
         kw[key] = int(kw[key])
     phis = kw["retry_phis"]
     kw["retry_phis"] = _parse_phis(phis) if isinstance(phis, str) else tuple(phis)

@@ -2,8 +2,12 @@
 
 Counts are multinomial per measurement setting; reconstruction is linear
 inversion followed by projection onto the physical set, with parametric
-bootstrap for error bars. Probabilities, inversion and projection work on
-stacked states and frequency vectors; one run is a batch of one. Seeding
+bootstrap for error bars. The projection is Smolin-Gambetta-Smith's: clip
+the negative eigenvalue mass and keep the trace. For one qubit it has a
+closed form, the Bloch vector clipped to the unit ball (see `_physical`);
+two-qubit estimates go through eigh. Probabilities, inversion and
+projection work on stacked states and frequency vectors; one run is a
+batch of one, equal bit for bit to its row of a stacked call. Seeding
 is deterministic: setting i of a run seeded with s uses stream s + i, so
 per-setting sampling is independent of evaluation order.
 """
@@ -169,7 +173,9 @@ def linear_inversion(settings, frequencies: np.ndarray) -> np.ndarray:
     (..., M) (may be unphysical)."""
     _, pinv, dim = _design_pinv(settings)
     freqs = np.asarray(frequencies, dtype=complex)
-    m = (freqs @ pinv.T).reshape(*freqs.shape[:-1], dim, dim)
+    # one row-vector product per estimate: a (B, M) @ (M, d*d) product rounds
+    # differently from its rows, so a stacked call would not be B one-row calls
+    m = (freqs[..., None, :] @ pinv.T).reshape(*freqs.shape[:-1], dim, dim)
     m = (m + np.swapaxes(m.conj(), -1, -2)) / 2
     return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
 
@@ -193,11 +199,27 @@ def _truncate_rescale(w: np.ndarray) -> np.ndarray:
 
 
 def _physical(h: np.ndarray) -> np.ndarray:
-    """Nearest density matrices to stacked Hermitian h: clip the negative
-    eigenvalue mass and keep the trace (Smolin, Gambetta & Smith, PRL 108,
-    070502 (2012))."""
+    """Nearest density matrices to stacked Hermitian h, after dividing each
+    by its trace: clip the negative eigenvalue mass and keep the trace
+    (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)).
+
+    For d = 2, h = (1 + n.sigma)/2 has eigenvalues (1 -+ |n|)/2. Inside the
+    Bloch ball (|n| <= 1) nothing is negative and h is kept. Outside it the
+    truncate-and-rescale sweep moves the negative eigenvalue onto the other
+    one, which becomes 1: the pure state (1 + n.sigma/|n|)/2 along the
+    Bloch direction. So the projection divides n by max(|n|, 1), in closed
+    form; with z = (h00 - h11)/2 and x = h10, |n| = 2 sqrt(z^2 + |x|^2).
+    Larger d goes through eigh and `_truncate_rescale`.
+    """
     tr = np.trace(h, axis1=-2, axis2=-1).real
-    w, v = np.linalg.eigh(h / tr[..., None, None])
+    h = h / tr[..., None, None]
+    if h.shape[-1] == 2:
+        z = (h[..., 0, 0].real - h[..., 1, 1].real) / 2
+        x = h[..., 1, 0]
+        scale = np.maximum(2 * np.hypot(z, np.abs(x)), 1.0)
+        z, x = z / scale, x / scale
+        return np.stack([0.5 + z, x.conj(), x, 0.5 - z], axis=-1).reshape(h.shape)
+    w, v = np.linalg.eigh(h)
     w = _truncate_rescale(w)
     w /= w.sum(axis=-1, keepdims=True)
     return (v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)

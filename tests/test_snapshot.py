@@ -125,12 +125,48 @@ def test_retried_runs_with_emitted_states_match_snapshot(params, snapshot):
                (params, seed))
 
 
+def _float_change(got: dict, want: dict) -> float:
+    """Largest absolute change of the reported floats and emitted entries."""
+    diffs = [abs(got[k] - want[k]) for k in FLOATS if want[k] is not None]
+    diffs += [np.abs(np.array(got["states"][name]) - np.array(entries)).max()
+              for name, entries in want.get("states", {}).items()]
+    return float(max(diffs, default=0.0))
+
+
+def compare(old: dict, new: dict) -> list[str]:
+    """What a regeneration moves: count hashes, verdicts, and the largest
+    float change among cases whose counts did not move."""
+    lines = []
+    for key in ("cases", "retry_cases"):
+        before = {(c["family"], c["seed"]): c for c in old[key]}
+        moved, verdicts, float_change = [], [], 0.0
+        for case in new[key]:
+            where = (case["family"], case["seed"])
+            want = before[where]
+            if case["verdict"] != want["verdict"]:
+                verdicts.append(f"{where}: {want['verdict']} -> {case['verdict']}")
+            if case["counts_sha256"] != want["counts_sha256"]:
+                moved.append(where)
+            else:
+                float_change = max(float_change, _float_change(case, want))
+        lines.append(f"{key}: {len(moved)} of {len(new[key])} count hashes changed {moved}")
+        lines.append(f"{key}: {len(verdicts)} verdicts changed {verdicts}")
+        lines.append(f"{key}: largest float change with unchanged counts {float_change:.3g}")
+    return lines
+
+
+def generate() -> dict:
+    return {
+        "shots": SHOTS, "bootstrap_samples": BOOTSTRAP,
+        "cases": [run_case(p, s) for p in STATES for s in SEEDS],
+        "retry_cases": [run_case(p, s, **RETRY) for p in STATES for s in RETRY_SEEDS],
+    }
+
+
 if __name__ == "__main__":
-    cases = [run_case(p, s) for p in STATES for s in SEEDS]
-    retry_cases = [run_case(p, s, **RETRY) for p in STATES for s in RETRY_SEEDS]
+    data = generate()
+    if SNAPSHOT.exists():
+        print("\n".join(compare(json.loads(SNAPSHOT.read_text()), data)))
     SNAPSHOT.parent.mkdir(exist_ok=True)
-    SNAPSHOT.write_text(json.dumps({
-        "shots": SHOTS, "bootstrap_samples": BOOTSTRAP, "cases": cases,
-        "retry_cases": retry_cases,
-    }, indent=1) + "\n")
-    print(f"wrote {len(cases) + len(retry_cases)} cases to {SNAPSHOT}")
+    SNAPSHOT.write_text(json.dumps(data, indent=1) + "\n")
+    print(f"wrote {len(data['cases']) + len(data['retry_cases'])} cases to {SNAPSHOT}")

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qdiscern import tomography
@@ -15,12 +17,15 @@ from qdiscern.tomography import (
     outcome_probabilities,
     project_to_physical,
     reconstruct,
+    reconstruct_batch,
+    sample_frequencies,
     setting_from_label,
     simulate_counts,
 )
 
 KET_H_STATE = DensityMatrix(np.diag([1.0, 0.0]).astype(complex), (2,))
 MIXED = DensityMatrix(np.eye(2, dtype=complex) / 2, (2,))
+PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 class TestDefaultSettings:
@@ -146,6 +151,49 @@ class TestProjectToPhysical:
     def test_trace_too_far_rejected(self):
         with pytest.raises(ValueError, match="trace"):
             project_to_physical(np.eye(2, dtype=complex))
+
+
+def _eigh_physical(h):
+    """Reference projection: eigh, the truncate-and-rescale sweep, rebuild."""
+    tr = np.trace(h, axis1=-2, axis2=-1).real
+    w, v = np.linalg.eigh(h / tr[..., None, None])
+    w = tomography._truncate_rescale(w)
+    w /= w.sum(axis=-1, keepdims=True)
+    return (v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+
+
+@st.composite
+def qubit_hermitians(draw):
+    """t (1 + n.sigma)/2 with |n| inside, on or outside the unit ball and
+    trace t off 1 by up to 5%."""
+    radius = draw(st.one_of(st.floats(0.0, 1.0), st.just(1.0), st.floats(1.0, 2.0)))
+    direction = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+                              .filter(lambda v: np.linalg.norm(v) > 1e-3)))
+    n = radius * direction / np.linalg.norm(direction)
+    return draw(st.floats(0.95, 1.05)) * (np.eye(2) + np.tensordot(n, PAULIS, 1)) / 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(qubit_hermitians(), min_size=1, max_size=6).map(np.array))
+@example(np.array([np.diag([1.1, -0.1])], dtype=complex))
+@example(np.array([np.eye(2) / 2], dtype=complex))
+@example(np.array([KET_H_STATE.mat]))
+def test_qubit_projection_equals_eigh_form(hs):
+    out = tomography._physical(hs)
+    assert_allclose(out, _eigh_physical(hs), rtol=0, atol=1e-12)
+    assert_allclose(np.trace(out, axis1=-2, axis2=-1), 1.0, rtol=0, atol=1e-12)
+    assert np.linalg.eigvalsh(out).min() >= -1e-12
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_reconstruct_batch_equals_one_row_calls(n_qubits):
+    # a pure state at 50 shots: most estimates lie outside the physical set
+    rho = KET_H_STATE.mat if n_qubits == 1 else np.kron(KET_H_STATE.mat, KET_H_STATE.mat)
+    settings_ = default_settings(n_qubits)
+    probs = [outcome_probabilities(rho, s) for s in settings_]
+    freqs = sample_frequencies(probs, 50, 40, seed=11)
+    stacked = reconstruct_batch(settings_, freqs)
+    assert np.array_equal(stacked, np.array([reconstruct_batch(settings_, f) for f in freqs]))
 
 
 class TestReconstruct:
