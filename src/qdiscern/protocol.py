@@ -6,6 +6,14 @@ phase-gate discord witness; a firing witness means quantum correlations
 tests for growth of the marginal trace distance: growth means classical
 correlations (CC), no growth means factorized (F).
 
+Both modes run this cascade through one function, `_cascade`; a mode only
+says how it measures each stage's value, threshold and error bar. Stage 1
+tries phi, then each of retry_phis, and stops at the first phase that
+fires. The reported Td, its threshold and the states emitted for stage 1
+belong to that phase, or to phi when no phase fires. Stage 2 runs at phi.
+thresholds_used["stage2_threshold"] is None unless stage 2 ran. Exact mode
+compares both stages with exact_epsilon.
+
 In simulated mode every state that the experiment would measure is
 tomographed from multinomial counts. Stage 1 fires when the measured
 witness exceeds threshold_sigma null-bootstrap standard deviations above
@@ -41,12 +49,7 @@ import numpy as np
 from .channels import eigenprojectors, evolve, half_wave_plate, pinch, rotate
 from .linalg import DensityMatrix, check_finite, partial_trace, trace_distances, two_qubit
 from .states import FamilyParams
-from .tomography import (
-    default_settings,
-    reconstruct_batch,
-    sample_reconstructions,
-    simulate_counts,
-)
+from .tomography import default_settings, reconstruct_batch, sample_reconstructions, simulate_counts
 from .witness import CORRELATION_WITNESS, DISCORD_WITNESS, WitnessReport, growth_values, td_values
 
 VERDICT_QC = "QC"
@@ -81,8 +84,18 @@ class ProtocolConfig:
             raise ValueError(f"mode must be 'exact' or 'simulated', got {self.mode!r}")
         if self.threshold_sigma <= 0 or self.exact_epsilon <= 0:
             raise ValueError("threshold_sigma and exact_epsilon must be positive")
+        ints = {"shots": self.shots, "bootstrap_samples": self.bootstrap_samples, "seed": self.seed}
+        bad = [k for k, v in ints.items()
+               if not (isinstance(v, numbers.Integral) and not isinstance(v, bool))]
+        if bad:
+            raise ValueError(f"not an integer: {', '.join(f'{k} = {ints[k]!r}' for k in bad)}")
         if self.shots <= 0 or self.bootstrap_samples <= 0:
-            raise ValueError("shots and bootstrap_samples must be positive")
+            raise ValueError(f"shots and bootstrap_samples must be positive, got {self.shots}, "
+                             f"{self.bootstrap_samples}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not isinstance(self.emit_states, bool):
+            raise ValueError(f"emit_states must be true or false, got {self.emit_states!r}")
 
     def to_json(self) -> dict:
         return {**asdict(self), "retry_phis": list(self.retry_phis)}
@@ -133,9 +146,7 @@ def classify_simulated(params: FamilyParams, config: ProtocolConfig) -> Classifi
 
 
 def _digest(base: dict, config: ProtocolConfig, phi: float) -> dict:
-    d = dict(base)
-    d.update({"phi": phi, "hwp_angle": config.hwp_angle})
-    return d
+    return {**base, "phi": phi, "hwp_angle": config.hwp_angle}
 
 
 def _marginals(**states) -> dict:
@@ -143,38 +154,56 @@ def _marginals(**states) -> dict:
     return {k: DensityMatrix(partial_trace(v, 0), (2,)) for k, v in states.items()}
 
 
+def _cascade(config: ProtocolConfig, digest: dict, degenerate: bool, states: dict,
+             stage1, stage2) -> ClassificationResult:
+    """The decision policy of both modes. `stage1(phi)` and `stage2()` each
+    return (value, threshold, sigma, emitted states); `states` holds the
+    states emitted before stage 1 and collects the rest."""
+    td_report = None
+    for phi in (config.phi, *config.retry_phis):
+        value, threshold, sigma, phase_states = stage1(phi)
+        fired = value > threshold
+        if td_report is None or fired:
+            td_report = WitnessReport(value, DISCORD_WITNESS, _digest(digest, config, phi),
+                                      degenerate, sigma=sigma)
+            stage1_threshold = threshold
+            states.update(phase_states)
+        if fired:
+            break
+    thresholds = {"stage1_threshold": stage1_threshold, "stage2_threshold": None,
+                  "threshold_sigma": config.threshold_sigma, "exact_epsilon": config.exact_epsilon}
+    emitted = states if config.emit_states else None
+    if fired:
+        return ClassificationResult(VERDICT_QC, td_report, None, degenerate, thresholds, emitted)
+
+    value, threshold, sigma, stage2_states = stage2()
+    growth_report = WitnessReport(value, CORRELATION_WITNESS, _digest(digest, config, config.phi),
+                                  degenerate, sigma=sigma)
+    thresholds["stage2_threshold"] = threshold
+    states.update(stage2_states)
+    verdict = VERDICT_CC if value > threshold else VERDICT_F
+    return ClassificationResult(verdict, td_report, growth_report, degenerate, thresholds, emitted)
+
+
 def _classify_exact(rho: DensityMatrix, config: ProtocolConfig, digest: dict) -> ClassificationResult:
     r = two_qubit(rho)
     proj, degenerate = eigenprojectors(r)
-    degenerate = bool(degenerate)
-    phis = (config.phi, *config.retry_phis)
-    tds = td_values(r, np.array(phis), proj)
-    fired = np.flatnonzero(tds > config.exact_epsilon)
-    k = int(fired[0]) if fired.size else 0
-    td_report = WitnessReport(float(tds[k]), DISCORD_WITNESS, _digest(digest, config, phis[k]), degenerate)
+    eps, emit = config.exact_epsilon, config.emit_states
 
-    thresholds = {
-        "stage1_threshold": config.exact_epsilon,
-        "stage2_threshold": config.exact_epsilon,
-        "threshold_sigma": config.threshold_sigma,
-        "exact_epsilon": config.exact_epsilon,
-    }
-    states = None
-    if config.emit_states:
-        states = _marginals(rho_s_0=r, rho_s_t=evolve(r, config.phi),
-                            rho_s_d_t=evolve(pinch(r, proj), config.phi))
-    if fired.size:
-        return ClassificationResult(VERDICT_QC, td_report, None, degenerate, thresholds, states)
+    def stage1(phi):
+        states = _marginals(rho_s_t=evolve(r, phi), rho_s_d_t=evolve(pinch(r, proj), phi)) if emit else {}
+        return float(td_values(r, phi, proj)), eps, None, states
 
-    v = half_wave_plate(config.hwp_angle)
-    growth = WitnessReport(float(growth_values(r, v, config.phi)), CORRELATION_WITNESS,
-                           _digest(digest, config, config.phi), degenerate)
-    if config.emit_states:
+    def stage2():
+        v = half_wave_plate(config.hwp_angle)
+        growth = float(growth_values(r, v, config.phi))
+        if not emit:
+            return growth, eps, None, {}
         rho_u = rotate(r, v)
-        states.update(_marginals(rho_s_u_0=rho_u, rho_s_u_t=evolve(rho_u, config.phi)))
+        return growth, eps, None, _marginals(rho_s_u_0=rho_u, rho_s_u_t=evolve(rho_u, config.phi))
 
-    verdict = VERDICT_CC if growth.value > config.exact_epsilon else VERDICT_F
-    return ClassificationResult(verdict, td_report, growth, degenerate, thresholds, states)
+    return _cascade(config, digest, bool(degenerate), _marginals(rho_s_0=r) if emit else {},
+                    stage1, stage2)
 
 
 def td_stat(m: np.ndarray, md: np.ndarray, measure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -209,25 +238,16 @@ def _classify_simulated(rho: DensityMatrix, config: ProtocolConfig, digest: dict
         return sample_reconstructions(state, settings, shots, b, next(seeds))
 
     r = two_qubit(rho)
-    states: dict = {}
-
     # Pi from full-state tomography, as the experiment extracts it
     rho_hat = observe(r, settings2)
     proj, degenerate = eigenprojectors(rho_hat)
-    degenerate = bool(degenerate)
     rho_d = pinch(r, proj)
     # the zero-discord surrogate of the estimate, for the stage-1 null
     rho_null = pinch(rho_hat, proj)
-    if config.emit_states:
-        states["rho_se_0_hat"] = DensityMatrix(rho_hat, (2, 2))
 
-    td_report = None
-    fired = False
-    stage1_threshold = None
-    for phi in (config.phi, *config.retry_phis):
+    def stage1(phi):
         td_hat, m_t, md_t = td_stat(partial_trace(evolve(r, phi), 0),
                                     partial_trace(evolve(rho_d, phi), 0), observe)
-        td_hat = float(td_hat)
         # the null reruns the whole pipeline, projector tomography included
         null_projs, _ = eigenprojectors(replicate(rho_null, settings2))
         td_null, _, _ = td_stat(partial_trace(evolve(rho_null, phi), 0),
@@ -236,46 +256,21 @@ def _classify_simulated(rho: DensityMatrix, config: ProtocolConfig, digest: dict
         # parametric bootstrap around the two point estimates, for the error bar
         sigma = float(td_stat(m_t, md_t, replicate)[0].std())
         check_finite([td_hat, threshold, sigma], "stage-1 statistic")
+        states = ({"rho_s_t_hat": DensityMatrix(m_t, (2,)), "rho_s_d_t_hat": DensityMatrix(md_t, (2,))}
+                  if config.emit_states else {})
+        return float(td_hat), threshold, sigma, states
 
-        rep = WitnessReport(td_hat, DISCORD_WITNESS, _digest(digest, config, phi),
-                            degenerate, sigma=sigma)
-        if td_report is None or td_hat > threshold:
-            td_report = rep
-            stage1_threshold = threshold
-        if config.emit_states and (td_hat > threshold or phi == config.phi):
-            states["rho_s_t_hat"] = DensityMatrix(m_t, (2,))
-            states["rho_s_d_t_hat"] = DensityMatrix(md_t, (2,))
-        if td_hat > threshold:
-            fired = True
-            break
+    def stage2():
+        rho_u = rotate(r, half_wave_plate(config.hwp_angle))
+        marginals = [partial_trace(s, 0) for s in
+                     (r, rho_u, evolve(r, config.phi), evolve(rho_u, config.phi))]
+        growth_hat, estimates = growth_stat(marginals, observe)
+        sigma2 = float(growth_stat(estimates, replicate)[0].std())
+        check_finite([growth_hat, sigma2], "stage-2 statistic")
+        states = ({k: DensityMatrix(e, (2,)) for k, e in zip(
+            ("rho_s_0_hat", "rho_s_u_0_hat", "rho_s_t_hat2", "rho_s_u_t_hat"), estimates)}
+            if config.emit_states else {})
+        return float(growth_hat), config.threshold_sigma * sigma2, sigma2, states
 
-    thresholds = {
-        "stage1_threshold": stage1_threshold,
-        "threshold_sigma": config.threshold_sigma,
-        "exact_epsilon": config.exact_epsilon,
-    }
-    emitted = states if config.emit_states else None
-
-    if fired:
-        thresholds["stage2_threshold"] = None
-        return ClassificationResult(VERDICT_QC, td_report, None, degenerate, thresholds, emitted)
-
-    rho_u = rotate(r, half_wave_plate(config.hwp_angle))
-    marginals = [partial_trace(s, 0) for s in
-                 (r, rho_u, evolve(r, config.phi), evolve(rho_u, config.phi))]
-    growth_hat, estimates = growth_stat(marginals, observe)
-    growth_hat = float(growth_hat)
-    sigma2 = float(growth_stat(estimates, replicate)[0].std())
-    stage2_threshold = config.threshold_sigma * sigma2
-    check_finite([growth_hat, sigma2], "stage-2 statistic")
-
-    growth_report = WitnessReport(growth_hat, CORRELATION_WITNESS,
-                                  _digest(digest, config, config.phi),
-                                  degenerate, sigma=sigma2)
-    thresholds["stage2_threshold"] = stage2_threshold
-    if config.emit_states:
-        states.update({k: DensityMatrix(e, (2,)) for k, e in zip(
-            ("rho_s_0_hat", "rho_s_u_0_hat", "rho_s_t_hat2", "rho_s_u_t_hat"), estimates)})
-
-    verdict = VERDICT_CC if growth_hat > stage2_threshold else VERDICT_F
-    return ClassificationResult(verdict, td_report, growth_report, degenerate, thresholds, emitted)
+    states = {"rho_se_0_hat": DensityMatrix(rho_hat, (2, 2))} if config.emit_states else {}
+    return _cascade(config, digest, bool(degenerate), states, stage1, stage2)

@@ -88,6 +88,9 @@ class TomographyRecord:
     seed: int
 
     def __post_init__(self):
+        if len(self.counts) != len(self.settings):
+            raise ValueError(f"need one count tuple per setting, got {len(self.counts)} "
+                             f"for {len(self.settings)}")
         for setting, c in zip(self.settings, self.counts):
             if len(c) != len(setting.projectors):
                 raise ValueError("counts shape does not match settings")

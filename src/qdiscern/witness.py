@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Projector, eigenprojectors, lift, system_unitary
+from .channels import Projector, _gate_diagonal, eigenprojectors, lift, system_unitary
 from .linalg import (
     CROSS_CHECK_TOL,
     RANGE_SLACK,
@@ -92,8 +92,7 @@ def _sandwich(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _evolved_marginal(x: np.ndarray, phi) -> np.ndarray:
     """sum_e D_e x_e D_e^dagger: the system marginal after U(phi) of an
     operator with environment-diagonal blocks x (..., 2, 2, 2)."""
-    u = np.exp(1j * np.asarray(phi, dtype=float))
-    d = np.stack([u, np.ones_like(u)], axis=-1)  # the diagonal of D_1
+    d = _gate_diagonal(phi)[..., 1::2]  # U's diagonal at (s, e = 1): the diagonal of D_1
     return x[..., 0, :, :] + d[..., :, None] * d.conj()[..., None, :] * x[..., 1, :, :]
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qdiscern.linalg import trace_distances
 from qdiscern.protocol import (
     VERDICT_CC,
     VERDICT_F,
@@ -82,6 +83,14 @@ class TestExactMode:
         assert classify(rho, rescued).verdict == VERDICT_QC
 
 
+    def test_stage2_threshold_only_when_stage_2_runs(self):
+        qc = classify(make_qc(0.7, np.pi / 4), EXACT).thresholds_used
+        assert qc["stage2_threshold"] is None
+        assert qc["exact_epsilon"] == EXACT.exact_epsilon
+        for rho in (make_cc(0.64), make_f(0.65)):
+            assert classify(rho, EXACT).thresholds_used["stage2_threshold"] == EXACT.exact_epsilon
+
+
 class TestSimulatedMode:
     CFG = ProtocolConfig(mode="simulated", shots=100_000, seed=7)
 
@@ -101,9 +110,29 @@ class TestSimulatedMode:
         b = classify_simulated(FamilyParams("QC", 0.55, 0.9), self.CFG)
         assert json.dumps(a.to_json(), sort_keys=True) == json.dumps(b.to_json(), sort_keys=True)
 
+    def test_stage2_threshold_only_when_stage_2_runs(self):
+        qc = classify_simulated(FamilyParams("QC", 0.7, np.pi / 4), self.CFG)
+        assert qc.verdict == VERDICT_QC
+        assert qc.thresholds_used["stage2_threshold"] is None
+        cc = classify_simulated(FamilyParams("CC", 0.64), self.CFG)
+        assert cc.thresholds_used["stage2_threshold"] == self.CFG.threshold_sigma * cc.growth_report.sigma
+
     def test_requires_simulated_mode(self):
         with pytest.raises(ValueError):
             classify_simulated(FamilyParams("CC", 0.64), EXACT)
+
+
+@pytest.mark.parametrize("mode,hat", [("exact", ""), ("simulated", "_hat")])
+def test_emitted_stage1_states_belong_to_the_reported_phase(mode, hat):
+    # phi = 0 is blind, so the pi retry fires and is the reported phase
+    cfg = ProtocolConfig(mode=mode, phi=0.0, retry_phis=(np.pi,), emit_states=True,
+                         shots=20_000, bootstrap_samples=50, seed=3)
+    res = classify(make_qc(0.5, np.pi / 4), cfg)
+    assert res.verdict == VERDICT_QC
+    assert res.td_report.inputs_digest["phi"] == np.pi
+    states = res.intermediate_states
+    distance = trace_distances(states[f"rho_s_t{hat}"].mat, states[f"rho_s_d_t{hat}"].mat)
+    assert abs(distance - res.td_report.value) < 1e-12
 
 
 class TestStructure:
@@ -133,6 +162,19 @@ class TestStructure:
     def test_config_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             ProtocolConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("shots", True), ("shots", 2.5), ("shots", "100"), ("bootstrap_samples", 1.5),
+        ("bootstrap_samples", False), ("seed", 2.5), ("seed", "3"), ("seed", True), ("seed", -5),
+        ("emit_states", "false"), ("emit_states", 1),
+    ])
+    def test_config_rejects_bad_integers_and_flags(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ProtocolConfig(**{field: value})
+
+    def test_config_accepts_numpy_integers(self):
+        cfg = ProtocolConfig(shots=np.int64(1000), bootstrap_samples=np.int32(20), seed=np.int64(0))
+        assert (cfg.shots, cfg.bootstrap_samples, cfg.seed) == (1000, 20, 0)
 
     def test_config_json_round_trip(self):
         cfg = ProtocolConfig(mode="simulated", phi=1.1, retry_phis=(2.0,), emit_states=True)

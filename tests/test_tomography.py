@@ -81,6 +81,13 @@ class TestSimulateCounts:
         with pytest.raises(ValueError):
             TomographyRecord(tuple(settings), ((3, 4), (5, 5), (5, 5)), 10, 0)
 
+    @pytest.mark.parametrize("labels,counts", [
+        (["Z", "X", "Y"], [[5, 5]]), (["Z"], [[5, 5], [5, 5], [5, 5]]),
+    ], ids=["fewer-counts", "more-counts"])
+    def test_one_count_tuple_per_setting(self, labels, counts):
+        with pytest.raises(ValueError, match="one count tuple per setting"):
+            TomographyRecord.from_json({"settings": labels, "counts": counts, "shots": 10, "seed": 0})
+
     def test_invalid_probabilities_rejected(self):
         bad = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(ValueError, match="drift"):
