@@ -12,9 +12,7 @@ from .channels import (
 )
 from .linalg import (
     DensityMatrix,
-    HermEigResult,
     NumericalError,
-    herm_eig,
     kron,
     partial_trace,
     trace_distance,
@@ -46,7 +44,6 @@ __all__ = [
     "ClassificationResult",
     "DensityMatrix",
     "FamilyParams",
-    "HermEigResult",
     "MeasurementSetting",
     "NumericalError",
     "ProtocolConfig",
@@ -61,7 +58,6 @@ __all__ = [
     "dephase",
     "discord_T",
     "half_wave_plate",
-    "herm_eig",
     "kron",
     "linear_inversion",
     "make_cc",

@@ -37,10 +37,6 @@ class Projector:
         if abs(m.trace() - 1.0) > TRACE_TOL:
             raise ValueError("projector must have rank 1")
 
-    @property
-    def complement(self) -> np.ndarray:
-        return np.eye(self.matrix.shape[0]) - self.matrix
-
 
 def half_wave_plate(alpha: float) -> np.ndarray:
     """HWP at plate angle alpha: [[cos 2a, sin 2a], [sin 2a, -cos 2a]]."""

@@ -16,15 +16,13 @@ import contextlib
 import dataclasses
 import itertools
 import json
-import math
-import numbers
 import sys
 
 import numpy as np
 
 from . import kernels
 from .channels import eigenprojectors, half_wave_plate
-from .linalg import NumericalError
+from .linalg import NumericalError, is_finite_real
 from .protocol import ProtocolConfig, classify
 from .states import FamilyParams, qc_matrices
 from .witness import discord_values, growth_values, td_values
@@ -40,8 +38,7 @@ def _fmt(x: float) -> str:
 
 
 def _check_finite(name: str, *values):
-    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-               for v in values):
+    if not all(map(is_finite_real, values)):
         raise ValueError(f"not a finite number: {name} = {', '.join(map(repr, values))}")
 
 
@@ -98,9 +95,7 @@ def _family_params(opts: dict) -> FamilyParams:
     if opts["lambda"] is None:
         raise ValueError("--lambda is required")
     theta = 0.0 if opts["theta"] is None else opts["theta"]
-    _check_finite("lambda", opts["lambda"])
-    _check_finite("theta", theta)
-    return FamilyParams(str(opts["family"]).upper(), float(opts["lambda"]), float(theta))
+    return FamilyParams(str(opts["family"]).upper(), opts["lambda"], theta)
 
 
 def _open_output(output: str | None):
@@ -120,8 +115,8 @@ def cmd_classify(args) -> int:
     for key in ("shots", "bootstrap_samples", "seed"):
         if isinstance(kw[key], float) and kw[key].is_integer():  # JSON 1e5
             kw[key] = int(kw[key])
-    phis = kw["retry_phis"]
-    kw["retry_phis"] = _parse_phis(phis) if isinstance(phis, str) else tuple(phis)
+    if isinstance(kw["retry_phis"], str):
+        kw["retry_phis"] = _parse_phis(kw["retry_phis"])
     config = ProtocolConfig(**kw)
     result = classify(params.build(), config, digest=params.to_json())
     out = result.to_json()

@@ -13,8 +13,7 @@ arrays, with no 4x4 state ever built:
 
 `td_qc_grid` broadcasts a column of lambdas against a row of thetas, so
 cos and sin run once per theta and the (lambda, theta) arrays are never
-expanded; each grid point gets the same arithmetic as in `td_qc_points`,
-so the two agree bit for bit.
+expanded.
 
 ``witness.td_values`` on ``states.qc_matrices`` is the generic form of the
 same quantity; the tests hold the two equal.
@@ -29,22 +28,10 @@ from .linalg import DEGENERACY_GAP, check_finite
 BACKEND = "numpy"
 
 
-def td_qc_points(lams, thetas, phi: float) -> np.ndarray:
-    """Discord witness Td for QC(lambda_i, theta_i) at phase phi, elementwise."""
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    if lams.shape != thetas.shape:
-        raise ValueError("lams and thetas must have matching shapes")
-    return _td_qc(lams, thetas, phi)
-
-
 def td_qc_grid(lams, thetas, phi: float) -> np.ndarray:
     """Td on the outer grid, shape (len(lams), len(thetas))."""
-    return _td_qc(np.asarray(lams, dtype=float)[:, None], np.asarray(thetas, dtype=float), phi)
-
-
-def _td_qc(lams: np.ndarray, thetas: np.ndarray, phi: float) -> np.ndarray:
-    """Td for lams and thetas broadcast against each other."""
+    lams = np.asarray(lams, dtype=float)[:, None]
+    thetas = np.asarray(thetas, dtype=float)
     phi = float(phi)
     c, s = np.cos(thetas), np.sin(thetas)
     w = 1.0 - lams

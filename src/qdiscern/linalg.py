@@ -7,6 +7,8 @@ subsystem dimensions (system first, environment second).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +25,6 @@ PROB_DRIFT_TOL = 1e-9  # Born probability below 0 or sum off 1, clamped away
 ESTIMATE_TRACE_TOL = 0.1  # |tr - 1| of a raw estimate handed to the physicality projection
 CROSS_CHECK_TOL = 1e-9  # disagreement of the two forms of discord T
 RANGE_SLACK = 1e-9  # rounding allowed outside a witness value's range
-PHASE_CUT = 1e-9  # smallest eigenvector component modulus used to fix its phase
 
 
 class NumericalError(ArithmeticError):
@@ -36,6 +37,11 @@ def check_finite(values, what: str) -> np.ndarray:
     if not np.isfinite(values).all():
         raise NumericalError(f"{what} is not finite")
     return values
+
+
+def is_finite_real(v) -> bool:
+    """True for a finite real number that is not a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 def _as_array(m) -> np.ndarray:
@@ -76,10 +82,6 @@ class DensityMatrix:
         if wmin < -PSD_TOL:
             raise ValueError(f"matrix is not positive semidefinite (min eig {wmin:.3e})")
 
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
     def to_json(self) -> dict:
         d = matrix_to_json(self.mat)
         d["dims"] = list(self.dims)
@@ -88,15 +90,6 @@ class DensityMatrix:
     @classmethod
     def from_json(cls, d: dict) -> "DensityMatrix":
         return cls(matrix_from_json(d), tuple(d["dims"]))
-
-
-@dataclass(frozen=True)
-class HermEigResult:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns, matched to eigenvalues
-    degenerate: bool = False
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -154,28 +147,6 @@ def partial_trace(rho, keep: int):
     return DensityMatrix(marg, (dims[keep],)) if wrapped else marg
 
 
-def herm_eig(h) -> HermEigResult:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Eigenvalues sorted descending; each eigenvector's first component with
-    modulus > PHASE_CUT is made real and positive so output is deterministic.
-    """
-    h = _as_array(h)
-    defect = hermiticity_defect(h)
-    if defect > HERM_TOL:
-        raise ValueError(f"herm_eig requires a Hermitian matrix (defect {defect:.3e})")
-    w, v = np.linalg.eigh(h)
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        idx = np.flatnonzero(np.abs(col) > PHASE_CUT)[0]
-        phase = col[idx] / abs(col[idx])
-        v[:, k] = col / phase
-    degenerate = bool(np.any(np.abs(np.diff(w)) < DEGENERACY_GAP))
-    return HermEigResult(w, v, degenerate)
-
-
 def trace_norm(m):
     """Sum of absolute eigenvalues of Hermitian (..., d, d) input.
 
@@ -202,17 +173,3 @@ def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Batched trace distance over stacked (..., d, d) Hermitian arrays."""
     return 0.5 * trace_norm(a - b)
 
-
-def random_density(rng: np.random.Generator, dim: int, dims=None) -> DensityMatrix:
-    """Random full-rank state (Ginibre construction), for tests and sweeps."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = g @ g.conj().T
-    m /= m.trace()
-    return DensityMatrix(m, dims if dims is not None else (dim,))
-
-
-def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-random unitary via QR of a Ginibre matrix."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))

@@ -40,14 +40,13 @@ it reaches stage 2.
 from __future__ import annotations
 
 import itertools
-import math
 import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .channels import eigenprojectors, evolve, half_wave_plate, pinch, rotate
-from .linalg import DensityMatrix, check_finite, partial_trace, trace_distances, two_qubit
+from .linalg import DensityMatrix, check_finite, is_finite_real, partial_trace, trace_distances, two_qubit
 from .states import FamilyParams
 from .tomography import default_settings, reconstruct_batch, sample_reconstructions, simulate_counts
 from .witness import CORRELATION_WITNESS, DISCORD_WITNESS, WitnessReport, growth_values, td_values
@@ -73,11 +72,13 @@ class ProtocolConfig:
     emit_states: bool = False
 
     def __post_init__(self):
+        if np.ndim(self.retry_phis) != 1:  # rejects strings, None, numbers and nested lists
+            raise ValueError(f"retry_phis must be a list of phases, got {self.retry_phis!r}")
+        retry_phis = tuple(self.retry_phis)
         floats = {"phi": self.phi, "hwp_angle": self.hwp_angle,
                   "threshold_sigma": self.threshold_sigma, "exact_epsilon": self.exact_epsilon,
-                  **{f"retry_phis[{i}]": p for i, p in enumerate(self.retry_phis)}}
-        bad = [k for k, v in floats.items()
-               if not (isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v))]
+                  **{f"retry_phis[{i}]": p for i, p in enumerate(retry_phis)}}
+        bad = [k for k, v in floats.items() if not is_finite_real(v)]
         if bad:
             raise ValueError(f"not a finite number: {', '.join(bad)}")
         if self.mode not in ("exact", "simulated"):
@@ -96,6 +97,12 @@ class ProtocolConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not isinstance(self.emit_states, bool):
             raise ValueError(f"emit_states must be true or false, got {self.emit_states!r}")
+        # plain Python numbers: hashable, comparable and JSON-serializable
+        for k in ("phi", "hwp_angle", "threshold_sigma", "exact_epsilon"):
+            object.__setattr__(self, k, float(getattr(self, k)))
+        for k in ints:
+            object.__setattr__(self, k, int(getattr(self, k)))
+        object.__setattr__(self, "retry_phis", tuple(map(float, retry_phis)))
 
     def to_json(self) -> dict:
         return {**asdict(self), "retry_phis": list(self.retry_phis)}

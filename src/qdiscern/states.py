@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, kron
+from .linalg import DensityMatrix, is_finite_real, kron
 
 KET_H = np.array([1.0, 0.0], dtype=complex)
 KET_V = np.array([0.0, 1.0], dtype=complex)
@@ -44,6 +44,11 @@ class FamilyParams:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
+        for name, attr in (("lambda", "lam"), ("theta", "theta")):
+            v = getattr(self, attr)
+            if not is_finite_real(v):
+                raise ValueError(f"not a finite number: {name} = {v!r}")
+            object.__setattr__(self, attr, float(v))
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lambda must be in [0,1], got {self.lam}")
         if not 0.0 <= self.theta <= np.pi / 2:

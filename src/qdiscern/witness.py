@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Projector, _gate_diagonal, eigenprojectors, lift, system_unitary
+from .channels import _gate_diagonal, eigenprojectors, lift, system_unitary
 from .linalg import (
     CROSS_CHECK_TOL,
     RANGE_SLACK,
@@ -143,34 +143,27 @@ def growth_values(rho: np.ndarray, v: np.ndarray, phi) -> np.ndarray:
     return check_finite(t1 - t0, "growth witness")
 
 
-def _projector(r: np.ndarray, proj: Projector | None) -> tuple[np.ndarray, bool]:
-    if proj is not None:
-        return proj.matrix, proj.degenerate_source
-    projs, degenerate = eigenprojectors(r)
-    return projs, bool(degenerate)
-
-
-def discord_T(rho_se: DensityMatrix, proj: Projector | None = None) -> WitnessReport:
+def discord_T(rho_se: DensityMatrix) -> WitnessReport:
     """Trace distance between rho and its dephased version."""
     r = two_qubit(rho_se)
-    projs, degenerate = _projector(r, proj)
+    projs, degenerate = eigenprojectors(r)
     return WitnessReport(
         value=float(discord_values(r, projs)),
         kind=DISCORD_QUANTIFIER,
-        degenerate_basis=degenerate,
+        degenerate_basis=bool(degenerate),
     )
 
 
-def witness_Td(rho_se: DensityMatrix, phi: float, proj: Projector | None = None) -> WitnessReport:
+def witness_Td(rho_se: DensityMatrix, phi: float) -> WitnessReport:
     """Trace distance of the system marginals of rho and its dephased
     version after the phase-gate evolution at angle phi."""
     r = two_qubit(rho_se)
-    projs, degenerate = _projector(r, proj)
+    projs, degenerate = eigenprojectors(r)
     return WitnessReport(
         value=float(td_values(r, phi, projs)),
         kind=DISCORD_WITNESS,
         inputs_digest={"phi": phi},
-        degenerate_basis=degenerate,
+        degenerate_basis=bool(degenerate),
     )
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 import oracle
 from qdiscern.channels import half_wave_plate, system_eigenprojector
-from qdiscern.linalg import partial_trace, random_density
+from qdiscern.linalg import partial_trace
 from qdiscern.protocol import ProtocolConfig, classify, classify_simulated
 from qdiscern.states import FamilyParams, make_cc, make_f, make_qc
 from qdiscern.tomography import default_settings, reconstruct, simulate_counts
@@ -21,6 +21,7 @@ from qdiscern.witness import (
     zero_line_residual,
 )
 from qdiscern import channels
+from random_states import random_density
 
 
 def criterion(n, label):

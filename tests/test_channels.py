@@ -11,9 +11,10 @@ from qdiscern.channels import (
     phase_gate_evolve,
     system_eigenprojector,
 )
-from qdiscern.linalg import DensityMatrix, kron, partial_trace, random_density, trace_distance
+from qdiscern.linalg import DensityMatrix, kron, partial_trace, trace_distance
 from qdiscern.states import make_cc, make_f, make_qc
 from qdiscern.witness import discord_T
+from random_states import random_density
 
 
 def rand_state(rng):

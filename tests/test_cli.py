@@ -101,11 +101,12 @@ class TestClassify:
         {"lambda": True}, {"lambda": "0.5"}, {"theta": True, "family": "qc"},
         {"theta": "0.5", "family": "qc"}, {"shots": True}, {"shots": 1.7}, {"shots": "100"},
         {"bootstrap_samples": False}, {"bootstrap_samples": 20.5}, {"seed": "3"},
-        {"seed": True}, {"seed": 3.5}, {"seed": -5},
+        {"seed": True}, {"seed": 3.5}, {"seed": -5}, {"retry_phis": 3.0}, {"retry_phis": None},
     ], ids=["unknown-key", "non-boolean-emit-states", "boolean-lambda", "string-lambda",
             "boolean-theta", "string-theta", "boolean-shots", "fractional-shots",
             "string-shots", "boolean-bootstrap", "fractional-bootstrap", "string-seed",
-            "boolean-seed", "fractional-seed", "negative-seed"])
+            "boolean-seed", "fractional-seed", "negative-seed", "number-retry-phis",
+            "null-retry-phis"])
     def test_bad_config_entry_is_exit_2(self, capsys, tmp_path, entry):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"family": "cc", "lambda": 0.64, **entry}))

@@ -10,10 +10,11 @@ from numpy.testing import assert_allclose
 import oracle
 from qdiscern import kernels
 from qdiscern.channels import eigenprojectors, evolve, half_wave_plate, pinch, rotate
-from qdiscern.linalg import DEGENERACY_GAP, partial_trace, random_density
+from qdiscern.linalg import DEGENERACY_GAP, partial_trace
 from qdiscern.protocol import ProtocolConfig, classify, growth_stat, td_stat
 from qdiscern.states import FamilyParams, qc_matrices
 from qdiscern.witness import discord_values, growth_values, td_values
+from random_states import random_density
 
 TOL = 1e-12
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -103,7 +104,7 @@ def test_closed_form_kernel_equals_generic_td(points, phi):
     lam, theta = np.array(points).T
     rhos = qc_matrices(lam, theta)
     generic = td_values(rhos, phi, eigenprojectors(rhos)[0])
-    assert_allclose(kernels.td_qc_points(lam, theta, phi), generic, rtol=0, atol=TOL)
+    assert_allclose(np.diagonal(kernels.td_qc_grid(lam, theta, phi)), generic, rtol=0, atol=TOL)
 
 
 def _identity(x):

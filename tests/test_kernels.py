@@ -12,24 +12,29 @@ def general_td(lam, theta, phi):
     return witness_Td(make_qc(float(lam), float(theta)), phi).value
 
 
+def td_points(lams, thetas, phi):
+    """The kernel at the scattered points (lams[i], thetas[i]): the grid's diagonal."""
+    return np.diagonal(kernels.td_qc_grid(lams, thetas, phi))
+
+
 class TestKernelAgainstGeneralPath:
     @pytest.mark.parametrize("phi", [np.pi, np.pi / 2, 0.7])
     def test_random_points(self, phi):
         rng = np.random.default_rng(41)
         lams = rng.uniform(0, 1, 40)
         thetas = rng.uniform(0, np.pi / 2, 40)
-        fast = kernels.td_qc_points(lams, thetas, phi)
+        fast = td_points(lams, thetas, phi)
         slow = np.array([general_td(l, t, phi) for l, t in zip(lams, thetas)])
         assert_allclose(fast, slow, atol=1e-12)
 
     def test_degenerate_marginal_point(self):
         # theta = pi/2 and lam = 1/2 gives the maximally mixed marginal
-        fast = kernels.td_qc_points([0.5], [np.pi / 2], np.pi)[0]
+        fast = kernels.td_qc_grid([0.5], [np.pi / 2], np.pi)[0, 0]
         assert abs(fast - general_td(0.5, np.pi / 2, np.pi)) < 1e-12
 
     def test_edges(self):
         for lam, theta in [(0.0, 0.3), (1.0, 0.3), (0.3, 0.0), (0.3, np.pi / 2)]:
-            fast = kernels.td_qc_points([lam], [theta], np.pi)[0]
+            fast = kernels.td_qc_grid([lam], [theta], np.pi)[0, 0]
             assert abs(fast - general_td(lam, theta, np.pi)) < 1e-12
 
 
@@ -41,15 +46,6 @@ class TestGrid:
         assert g.shape == (3, 5)
         assert abs(g[1, 2] - general_td(lams[1], thetas[2], np.pi)) < 1e-12
 
-    @pytest.mark.parametrize("phi", [np.pi, 0.7])
-    def test_equals_points_on_the_raveled_meshgrid(self, phi):
-        # 37 lambdas hold 0.5 and the thetas end at pi/2: the degenerate marginal
-        lams = np.linspace(0, 1, 37)
-        thetas = np.linspace(0, np.pi / 2, 23)
-        lg, tg = np.meshgrid(lams, thetas, indexing="ij")
-        points = kernels.td_qc_points(lg.ravel(), tg.ravel(), phi).reshape(lg.shape)
-        assert np.array_equal(kernels.td_qc_grid(lams, thetas, phi), points)
-
     def test_row_chunks_concatenate_to_the_full_grid(self):
         lams = np.linspace(0, 1, 37)
         thetas = np.linspace(0, np.pi / 2, 23)
@@ -59,7 +55,3 @@ class TestGrid:
     def test_non_finite_output_rejected(self):
         with pytest.raises(NumericalError, match="finite"):
             kernels.td_qc_grid([0.1, 0.9], [0.1, 1.4], float("nan"))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            kernels.td_qc_points([0.1, 0.2], [0.3], np.pi)

@@ -6,17 +6,15 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from qdiscern.linalg import (
     DensityMatrix,
-    herm_eig,
     kron,
     matrix_from_json,
     matrix_to_json,
     partial_trace,
-    random_density,
-    random_unitary,
     trace_distance,
     trace_norm,
 )
 from qdiscern.states import make_cc, make_f, make_qc
+from random_states import random_density, random_unitary
 
 
 def diag_state(*probs):
@@ -74,40 +72,6 @@ class TestPartialTrace:
         t = rho.reshape(7, 3, 2, 2, 2, 2)
         want = np.trace(t, axis1=-3, axis2=-1) if keep == 0 else np.trace(t, axis1=-4, axis2=-2)
         assert_array_equal(partial_trace(rho, keep), want)
-
-
-class TestHermEig:
-    def test_diagonal(self):
-        res = herm_eig(np.diag([0.25, 0.75]))
-        assert_allclose(res.eigenvalues, [0.75, 0.25])
-        assert not res.degenerate
-
-    def test_hand_solved_2x2(self):
-        # characteristic polynomial of [[0.75, 0.25], [0.25, 0.25]] by hand
-        res = herm_eig(np.array([[0.75, 0.25], [0.25, 0.25]]))
-        assert_allclose(res.eigenvalues, [(1 + np.sqrt(0.5)) / 2, (1 - np.sqrt(0.5)) / 2])
-        assert_allclose(res.eigenvectors[:, 0], [np.cos(np.pi / 8), np.sin(np.pi / 8)], atol=1e-12)
-
-    def test_degenerate_flag(self):
-        assert herm_eig(np.eye(2) / 2).degenerate
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_reconstruction_and_phase_convention(self):
-        rng = np.random.default_rng(3)
-        for dim in (2, 3, 4):
-            for _ in range(20):
-                g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-                h = g + g.conj().T
-                res = herm_eig(h)
-                rebuilt = (res.eigenvectors * res.eigenvalues) @ res.eigenvectors.conj().T
-                assert np.abs(rebuilt - h).max() < 1e-9
-                for k in range(dim):
-                    col = res.eigenvectors[:, k]
-                    lead = col[np.flatnonzero(np.abs(col) > 1e-9)[0]]
-                    assert abs(lead.imag) < 1e-12 and lead.real > 0
 
 
 class TestTraceDistance:

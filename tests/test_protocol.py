@@ -176,6 +176,26 @@ class TestStructure:
         cfg = ProtocolConfig(shots=np.int64(1000), bootstrap_samples=np.int32(20), seed=np.int64(0))
         assert (cfg.shots, cfg.bootstrap_samples, cfg.seed) == (1000, 20, 0)
 
+    @pytest.mark.parametrize("value", ["1.0", None, 3.0], ids=["string", "none", "number"])
+    def test_config_rejects_retry_phis_that_are_not_a_list(self, value):
+        with pytest.raises(ValueError, match="retry_phis"):
+            ProtocolConfig(retry_phis=value)
+
+    def test_config_stores_plain_python_numbers(self):
+        cfg = ProtocolConfig(phi=np.float32(1), hwp_angle=np.float64(0.3), threshold_sigma=2,
+                             exact_epsilon=np.float32(1e-6), shots=np.int64(5),
+                             bootstrap_samples=np.int32(20), seed=np.uint8(3),
+                             retry_phis=[np.float32(2), 1])
+        d = cfg.to_json()
+        assert json.loads(json.dumps(d)) == d
+        assert all(type(d[k]) is float for k in ("phi", "hwp_angle", "threshold_sigma", "exact_epsilon"))
+        assert all(type(d[k]) is int for k in ("shots", "bootstrap_samples", "seed"))
+        assert cfg.retry_phis == (2.0, 1.0) and all(type(p) is float for p in cfg.retry_phis)
+
+    def test_config_with_a_list_of_phases_equals_the_tuple_config(self):
+        listed, tupled = ProtocolConfig(retry_phis=[1.0]), ProtocolConfig(retry_phis=(1.0,))
+        assert listed == tupled and hash(listed) == hash(tupled)
+
     def test_config_json_round_trip(self):
         cfg = ProtocolConfig(mode="simulated", phi=1.1, retry_phis=(2.0,), emit_states=True)
         d = cfg.to_json()

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qdiscern.linalg import herm_eig, partial_trace
+from qdiscern.channels import eigenprojectors
+from qdiscern.linalg import partial_trace
 from qdiscern.states import FamilyParams, make_cc, make_f, make_qc, theta_ket
 
 
@@ -32,8 +33,7 @@ class TestFamilies:
         assert_allclose(m, np.diag([1.0, 0, 0, 0]), atol=1e-15)
 
     def test_cc_balanced_marginal_degenerate(self):
-        marg = partial_trace(make_cc(0.5), 0)
-        assert herm_eig(marg.mat).degenerate
+        assert eigenprojectors(make_cc(0.5).mat)[1]
 
     def test_qc_block_structure(self):
         rho = make_qc(0.7, np.pi / 4).mat
@@ -90,6 +90,22 @@ class TestFamilyParams:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             FamilyParams("XX", 0.5)
+
+    @pytest.mark.parametrize("lam,theta,name", [
+        (True, 0.0, "lambda"), ("0.5", 0.0, "lambda"), (None, 0.0, "lambda"),
+        (float("nan"), 0.0, "lambda"), (0.5, True, "theta"), (0.5, "0.5", "theta"),
+        (0.5, None, "theta"), (0.5, float("inf"), "theta"),
+    ], ids=["boolean-lambda", "string-lambda", "none-lambda", "nan-lambda", "boolean-theta",
+            "string-theta", "none-theta", "inf-theta"])
+    def test_rejects_non_numbers_naming_the_field(self, lam, theta, name):
+        with pytest.raises(ValueError, match=name):
+            FamilyParams("QC", lam, theta)
+
+    def test_stores_plain_floats(self):
+        p = FamilyParams("QC", np.int64(1), np.float32(0.5))
+        assert (type(p.lam), type(p.theta)) == (float, float)
+        assert json.loads(json.dumps(p.to_json())) == {"family": "QC", "lambda": 1.0,
+                                                       "theta": float(np.float32(0.5))}
 
     def test_json_round_trip(self):
         p = FamilyParams("QC", 0.7, np.pi / 4)

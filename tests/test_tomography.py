@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qdiscern import tomography
-from qdiscern.linalg import DensityMatrix, random_density, trace_distance
+from qdiscern.linalg import DensityMatrix, trace_distance
 from qdiscern.states import make_cc, make_f, make_qc
 from qdiscern.tomography import (
     MeasurementSetting,
@@ -22,6 +22,7 @@ from qdiscern.tomography import (
     setting_from_label,
     simulate_counts,
 )
+from random_states import random_density
 
 KET_H_STATE = DensityMatrix(np.diag([1.0, 0.0]).astype(complex), (2,))
 MIXED = DensityMatrix(np.eye(2, dtype=complex) / 2, (2,))

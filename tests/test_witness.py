@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,7 +7,7 @@ from numpy.testing import assert_allclose
 import oracle
 from qdiscern import witness
 from qdiscern.channels import half_wave_plate
-from qdiscern.linalg import NumericalError, kron, random_density
+from qdiscern.linalg import NumericalError, kron
 from qdiscern.states import make_cc, make_f, make_qc
 from qdiscern.witness import (
     CORRELATION_WITNESS,
@@ -16,6 +18,7 @@ from qdiscern.witness import (
     zero_line_lambda,
     zero_line_residual,
 )
+from random_states import random_density
 
 # Golden values below were first confirmed against tests/oracle.py
 GOLD_DISCORD_QC_HALF = np.sqrt(2) / 4
@@ -164,6 +167,14 @@ class TestWitnessReport:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             WitnessReport(1.5, CORRELATION_WITNESS)
+
+    def test_degenerate_basis_is_reported(self):
+        degenerate = discord_T(make_f(0.5))
+        sharp = witness_Td(make_qc(0.7, np.pi / 4), np.pi)
+        assert degenerate.degenerate_basis is True
+        assert sharp.degenerate_basis is False
+        for rep in (degenerate, sharp):
+            assert json.loads(json.dumps(rep.to_json()))["degenerate_basis"] is rep.degenerate_basis
 
     def test_json_contains_all_fields(self):
         rep = witness_Td(make_qc(0.5, np.pi / 4), np.pi)
