@@ -54,11 +54,15 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _parse_phis(text: str) -> tuple:
+def _parse_phis(name: str, text: str) -> tuple:
+    """The comma-separated phases of option `name`."""
     if not text:
         return ()
-    phis = tuple(float(p) for p in text.split(","))
-    _check_finite("phases", *phis)
+    try:
+        phis = tuple(float(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError(f"{name} must be comma-separated numbers, got {text!r}")
+    _check_finite(name, *phis)
     return phis
 
 
@@ -116,7 +120,7 @@ def cmd_classify(args) -> int:
         if isinstance(kw[key], float) and kw[key].is_integer():  # JSON 1e5
             kw[key] = int(kw[key])
     if isinstance(kw["retry_phis"], str):
-        kw["retry_phis"] = _parse_phis(kw["retry_phis"])
+        kw["retry_phis"] = _parse_phis("retry_phis", kw["retry_phis"])
     config = ProtocolConfig(**kw)
     result = classify(params.build(), config, digest=params.to_json())
     out = result.to_json()
@@ -179,7 +183,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_phase_scan(args) -> int:
     params = _family_params(_resolve(args, _FAMILY_DEFAULTS))
-    phis = _parse_phis(args.phis)
+    phis = _parse_phis("phis", args.phis)
     if not phis:
         raise ValueError("--phis must list at least one angle")
     rho = params.build().mat

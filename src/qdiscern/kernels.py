@@ -1,22 +1,28 @@
 """Closed-form evaluation of the phase-gate discord witness over the QC
 state family, used by `Td` parameter sweeps.
 
-The QC states are block diagonal in the environment, so the witness at a
-point (lambda, theta, phi) reduces to real 2x2 algebra on broadcast numpy
-arrays, with no 4x4 state ever built:
+It evaluates the Td identity of ``witness.td_values``,
+Td = sqrt(M_00^2 + |M_10|^2) with M = sum_e D_e (c_e |pi><pi_perp| + h.c.)
+D_e^dagger (see the `witness` docstring), in real arithmetic on the QC
+family's closed-form inputs, with no 4x4 state ever built:
 
-* system marginal Bloch vector -> leading eigenprojector Pi (degenerate
-  marginals fall back to |H><H|, matching ``channels.eigenprojectors``),
-* per-block coherence removal C_X = pinch(X) - X,
-* the phase gate multiplies channel-1 off-diagonals by e^{i phi},
-* Td = sqrt(a^2 + |b|^2) for the traceless Hermitian marginal difference.
+* the marginal lam |H><H| + (1 - lam) |theta><theta| has the Bloch vector
+  (b_x, b_z) = ((1 - lam) sin 2theta, lam + (1 - lam) cos 2theta), whose
+  axis (n_x, n_z) = (sin a, cos a) is that of the leading eigenprojector (a
+  degenerate marginal falls back to |H><H|, n_z = 1, as in
+  ``channels.eigenprojectors``);
+* pi = (cos a/2, sin a/2) and pi_perp = (-sin a/2, cos a/2) are real, so
+  c_e = <pi| rho_e |pi_perp> for the blocks lam |H><H| and
+  (1 - lam) |theta><theta| is c_0 = -lam n_x / 2 and
+  c_1 = (1 - lam) sin(2theta - a) / 2 = (1 - lam)(n_z sin 2theta - n_x cos 2theta) / 2;
+* |pi><pi_perp| + h.c. = [[-n_x, n_z], [n_z, n_x]] and D_1 turns the
+  off-diagonal n_z into e^{i phi} n_z, so M_00 = -n_x (c_0 + c_1) and
+  M_01 = n_z (c_0 + e^{i phi} c_1).
 
 `td_qc_grid` broadcasts a column of lambdas against a row of thetas, so
 cos and sin run once per theta and the (lambda, theta) arrays are never
-expanded.
-
-``witness.td_values`` on ``states.qc_matrices`` is the generic form of the
-same quantity; the tests hold the two equal.
+expanded. The tests hold it equal to ``witness.td_values`` on
+``states.qc_matrices``.
 """
 
 from __future__ import annotations
@@ -34,31 +40,20 @@ def td_qc_grid(lams, thetas, phi: float) -> np.ndarray:
     thetas = np.asarray(thetas, dtype=float)
     phi = float(phi)
     c, s = np.cos(thetas), np.sin(thetas)
+    sin2, cos2 = 2.0 * c * s, c * c - s * s
     w = 1.0 - lams
 
-    bx = 2.0 * w * c * s
-    bz = lams + w * (c * c - s * s)
+    bx = w * sin2
+    bz = lams + w * cos2
     r = np.hypot(bx, bz)
     deg = r < DEGENERACY_GAP
     rs = np.where(deg, 1.0, r)
     nx = np.where(deg, 0.0, bx / rs)
     nz = np.where(deg, 1.0, bz / rs)
 
-    # Pi = [[p00, p01], [p01, p11]] real symmetric; Q = 1 - Pi
-    p00, p11, p01 = (1.0 + nz) / 2.0, (1.0 - nz) / 2.0, nx / 2.0
-    q00, q11, q01 = p11, p00, -p01
-
-    def coherence(x00, x01, x11):
-        # C = -(Pi X Q + Q X Pi), real symmetric traceless: returns (C00, C01)
-        m00 = (p00 * x00 + p01 * x01) * q00 + (p00 * x01 + p01 * x11) * q01
-        m01 = (p00 * x00 + p01 * x01) * q01 + (p00 * x01 + p01 * x11) * q11
-        m10 = (p01 * x00 + p11 * x01) * q00 + (p01 * x01 + p11 * x11) * q01
-        return -2.0 * m00, -(m01 + m10)
-
-    c0_00, c0_01 = coherence(1.0, 0.0, 0.0)
-    c1_00, c1_01 = coherence(c * c, c * s, s * s)
-
-    a = lams * c0_00 + w * c1_00
-    b = lams * c0_01 + w * np.exp(1j * phi) * c1_01
-    return check_finite(np.sqrt(a * a + np.abs(b) ** 2), "witness Td")
-
+    c0 = -0.5 * lams * nx
+    c1 = 0.5 * w * (nz * sin2 - nx * cos2)
+    m00 = -nx * (c0 + c1)
+    m01_re = nz * (c0 + np.cos(phi) * c1)
+    m01_im = nz * (np.sin(phi) * c1)
+    return check_finite(np.sqrt(m00 * m00 + m01_re * m01_re + m01_im * m01_im), "witness Td")

@@ -57,11 +57,15 @@ class FamilyParams:
             raise ValueError(f"theta is meaningful only for QC, got {self.theta} for {self.family}")
 
     def build(self) -> DensityMatrix:
+        lam = self.lam
         if self.family == "CC":
-            return make_cc(self.lam)
-        if self.family == "QC":
-            return make_qc(self.lam, self.theta)
-        return make_f(self.lam)
+            m = lam * kron(projector(KET_H), projector(KET_0)) \
+                + (1 - lam) * kron(projector(KET_V), projector(KET_1))
+        elif self.family == "QC":
+            m = qc_matrices(lam, self.theta)
+        else:
+            m = kron(lam * projector(KET_H) + (1 - lam) * projector(KET_V), np.eye(2) / 2)
+        return DensityMatrix(m, (2, 2))
 
     def to_json(self) -> dict:
         return {"family": self.family, "lambda": self.lam, "theta": self.theta}
@@ -71,19 +75,6 @@ class FamilyParams:
         return cls(d["family"], d["lambda"], d.get("theta", 0.0))
 
 
-def _check_lambda(lam: float):
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must be in [0,1], got {lam}")
-
-
-def make_cc(lam: float) -> DensityMatrix:
-    """lam |H><H| x |0><0| + (1-lam) |V><V| x |1><1|."""
-    _check_lambda(lam)
-    m = lam * kron(projector(KET_H), projector(KET_0)) \
-        + (1 - lam) * kron(projector(KET_V), projector(KET_1))
-    return DensityMatrix(m, (2, 2))
-
-
 def qc_matrices(lam, theta) -> np.ndarray:
     """Unvalidated QC states (..., 4, 4) for broadcast arrays lam, theta."""
     lam = np.asarray(lam, dtype=float)[..., None, None]
@@ -91,17 +82,16 @@ def qc_matrices(lam, theta) -> np.ndarray:
         + (1 - lam) * kron(projector(theta_ket(theta)), projector(KET_1))
 
 
+def make_cc(lam: float) -> DensityMatrix:
+    """lam |H><H| x |0><0| + (1-lam) |V><V| x |1><1|."""
+    return FamilyParams("CC", lam).build()
+
+
 def make_qc(lam: float, theta: float) -> DensityMatrix:
     """lam |H><H| x |0><0| + (1-lam) |theta><theta| x |1><1|."""
-    _check_lambda(lam)
-    if not 0.0 <= theta <= np.pi / 2:
-        raise ValueError(f"theta must be in [0, pi/2], got {theta}")
-    return DensityMatrix(qc_matrices(lam, theta), (2, 2))
+    return FamilyParams("QC", lam, theta).build()
 
 
 def make_f(lam: float) -> DensityMatrix:
     """(lam |H><H| + (1-lam) |V><V|) x (|0><0| + |1><1|)/2."""
-    _check_lambda(lam)
-    sys_part = lam * projector(KET_H) + (1 - lam) * projector(KET_V)
-    m = kron(sys_part, np.eye(2) / 2)
-    return DensityMatrix(m, (2, 2))
+    return FamilyParams("F", lam).build()

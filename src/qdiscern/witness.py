@@ -11,19 +11,20 @@
 
 The array functions work on 2x2 system blocks; only T's cross-check
 lifts to 4x4. With rho_e = <e|rho|e> the environment-diagonal blocks of rho,
-Q = 1 - Pi, and U(phi) = sum_e D_e x |e><e| where D_0 = 1 and
-D_1 = diag(e^{i phi}, 1):
+Pi = |pi><pi|, 1 - Pi = |pi_perp><pi_perp| and U(phi) = sum_e D_e x |e><e|
+where D_0 = 1 and D_1 = diag(e^{i phi}, 1):
 
 * tr_E[U X U^dagger] = sum_e D_e X_e D_e^dagger for any X, since the
   partial trace keeps only the blocks X_e and U is block diagonal;
-* rho - pinch(rho) has the blocks Pi rho_e Q + Q rho_e Pi, so
-  Td = 1/2 || sum_e D_e (Pi rho_e Q + Q rho_e Pi) D_e^dagger ||_1;
-* growth = 1/2 || sum_e D_e (V rho_e V^dagger - rho_e) D_e^dagger ||_1
-  - 1/2 || sum_e (V rho_e V^dagger - rho_e) ||_1;
 * rho - pinch(rho) = |pi><pi_perp| x C + h.c. with the 2x2 environment
   operator C_ab = sum_{s,s'} conj(pi_s) rho[s a, s' b] pi_perp_{s'}; its
   eigenvalues are +-sigma_i(C), so T = sigma_1 + sigma_2
-  = sqrt(||C||_F^2 + 2 |det C|).
+  = sqrt(||C||_F^2 + 2 |det C|);
+* so the blocks of rho - pinch(rho) are c_e |pi><pi_perp| + h.c. with
+  c_e = C_ee, and Td = 1/2 ||M||_1 = sqrt(M_00^2 + |M_10|^2) for the traceless
+  Hermitian M = sum_e D_e (c_e |pi><pi_perp| + h.c.) D_e^dagger;
+* growth = 1/2 || sum_e D_e (V rho_e V^dagger - rho_e) D_e^dagger ||_1
+  - 1/2 || sum_e (V rho_e V^dagger - rho_e) ||_1.
 
 Every 2x2 trace norm is the closed form of `linalg.trace_norm`.
 """
@@ -106,6 +107,14 @@ def _kets(projs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ket, np.stack([-ket[..., 1].conj(), ket[..., 0].conj()], axis=-1)
 
 
+def _coherence(rho: np.ndarray, projs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 2x2 environment operator C with rho - pinch(rho) = |pi><pi_perp| x C
+    + h.c., and the kets pi, pi_perp from `_kets`."""
+    ket, perp = _kets(projs)
+    c = np.einsum("...s,...satb->...atb", ket.conj(), rho.reshape(*rho.shape[:-2], 2, 2, 2, 2))
+    return np.einsum("...atb,...t->...ab", c, perp), ket, perp
+
+
 def discord_values(rho: np.ndarray, projs: np.ndarray) -> np.ndarray:
     """T for stacked states (..., 4, 4) and system projectors (..., 2, 2).
 
@@ -113,9 +122,7 @@ def discord_values(rho: np.ndarray, projs: np.ndarray) -> np.ndarray:
     through `lift`, and raises NumericalError if the two disagree, guarding
     the projector-lifting convention and the kets taken from Pi.
     """
-    ket, perp = _kets(projs)
-    c = np.einsum("...s,...satb->...atb", ket.conj(), rho.reshape(*rho.shape[:-2], 2, 2, 2, 2))
-    c = np.einsum("...atb,...t->...ab", c, perp)
+    c, _, _ = _coherence(rho, projs)
     frob2 = (c.real ** 2 + c.imag ** 2).sum(axis=(-2, -1))
     det = c[..., 0, 0] * c[..., 1, 1] - c[..., 0, 1] * c[..., 1, 0]
     value = check_finite(np.sqrt(frob2 + 2 * np.abs(det)), "discord T")
@@ -128,9 +135,12 @@ def discord_values(rho: np.ndarray, projs: np.ndarray) -> np.ndarray:
 
 def td_values(rho: np.ndarray, phi, projs: np.ndarray) -> np.ndarray:
     """Td for stacked states, phases and system projectors (broadcast)."""
-    pq = _sandwich(projs[..., None, :, :], _blocks(rho), (np.eye(2) - projs)[..., None, :, :])
-    coherences = pq + np.swapaxes(pq.conj(), -1, -2)  # Pi rho_e Q + Q rho_e Pi
-    return check_finite(0.5 * trace_norm(_evolved_marginal(coherences, phi)), "witness Td")
+    c, ket, perp = _coherence(rho, projs)
+    x = np.diagonal(c, axis1=-2, axis2=-1)[..., None, None] \
+        * (ket[..., :, None] * perp.conj()[..., None, :])[..., None, :, :]  # c_e |pi><pi_perp|
+    m = _evolved_marginal(x + np.swapaxes(x.conj(), -1, -2), phi)
+    m00, m10 = m[..., 0, 0].real, m[..., 1, 0]
+    return check_finite(np.sqrt(m00 ** 2 + m10.real ** 2 + m10.imag ** 2), "witness Td")
 
 
 def growth_values(rho: np.ndarray, v: np.ndarray, phi) -> np.ndarray:

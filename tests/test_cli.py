@@ -1,5 +1,13 @@
+"""CLI tests. The sweep golden hashes in tests/data/sweep_sha256.json are
+regenerated (only on purpose, when sweep output is meant to change) with:
+PYTHONPATH=src python tests/test_cli.py
+It reports which entries changed, then rewrites the file's hashes."""
+
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -9,12 +17,13 @@ from numpy.testing import assert_allclose
 import oracle
 from qdiscern import cli
 from qdiscern.channels import eigenprojectors, half_wave_plate
-from qdiscern.cli import SWEEP_CHUNK_POINTS, main
+from qdiscern.cli import SWEEP_CHUNK_POINTS, SWEEP_QUANTITIES, main
 from qdiscern.states import qc_matrices
 from qdiscern.witness import discord_values, growth_values
 
 PI = repr(float(np.pi))
-SWEEP_GOLDEN = json.loads((Path(__file__).parent / "data" / "sweep_sha256.json").read_text())
+SWEEP_GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "sweep_sha256.json"
+SWEEP_GOLDEN = json.loads(SWEEP_GOLDEN_PATH.read_text())
 
 
 def run(capsys, *argv):
@@ -102,11 +111,12 @@ class TestClassify:
         {"theta": "0.5", "family": "qc"}, {"shots": True}, {"shots": 1.7}, {"shots": "100"},
         {"bootstrap_samples": False}, {"bootstrap_samples": 20.5}, {"seed": "3"},
         {"seed": True}, {"seed": 3.5}, {"seed": -5}, {"retry_phis": 3.0}, {"retry_phis": None},
+        {"retry_phis": "abc"}, {"retry_phis": "1,,2"},
     ], ids=["unknown-key", "non-boolean-emit-states", "boolean-lambda", "string-lambda",
             "boolean-theta", "string-theta", "boolean-shots", "fractional-shots",
             "string-shots", "boolean-bootstrap", "fractional-bootstrap", "string-seed",
             "boolean-seed", "fractional-seed", "negative-seed", "number-retry-phis",
-            "null-retry-phis"])
+            "null-retry-phis", "word-retry-phis", "empty-field-retry-phis"])
     def test_bad_config_entry_is_exit_2(self, capsys, tmp_path, entry):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"family": "cc", "lambda": 0.64, **entry}))
@@ -114,6 +124,17 @@ class TestClassify:
         assert code == 2
         assert next(iter(entry)) in err
         assert out == ""
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["classify", "--family", "cc", "--lambda", "0.64", "--retry-phis", "1,,2"], "retry_phis"),
+    (["phase-scan", "--family", "cc", "--lambda", "0.64", "--phis", "1,,2"], "phis"),
+], ids=["classify-retry-phis", "phase-scan-phis"])
+def test_malformed_phase_list_is_exit_2_naming_the_option(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert name in err
+    assert out == ""
 
 
 NON_FINITE = [
@@ -240,6 +261,17 @@ class TestSweep:
         assert (code, out) == (0, "")
         assert hashlib.sha256(path.read_bytes()).hexdigest() == want["output"]
 
+    @pytest.mark.parametrize("grid", sorted(SWEEP_GOLDEN["grids"]))
+    def test_all_columns_equal_the_single_quantity_outputs(self, capsys, grid):
+        def rows(quantity):
+            code, out, _ = run(capsys, "sweep", "--quantity", quantity, *SWEEP_GOLDEN["grids"][grid])
+            assert code == 0
+            return [line.split(",") for line in out.splitlines()[2:]]
+
+        table = rows("all")
+        for column, quantity in enumerate(("T", "Td", "growth"), start=3):
+            assert [row[:3] + [row[column]] for row in table] == rows(quantity), quantity
+
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
     def test_failure_in_the_last_chunk_writes_nothing(self, capsys, tmp_path, monkeypatch, to_file):
         chunk_sizes = []
@@ -312,3 +344,30 @@ class TestPhaseScan:
         code, out, _ = run(capsys, "phase-scan", "--family", "qc", "--lambda", "0.6",
                            "--theta", "0.9", "--phis", "0.0")
         assert float(out.splitlines()[2].split(",")[1]) < 1e-12
+
+
+def sweep_sha256(argv: list[str]) -> dict:
+    """sha256 of the bytes `qdiscern <argv>` writes to stdout and to --output."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sweep.csv"
+        if (code, main([*argv, "--output", str(path)])) != (0, 0):
+            raise SystemExit(f"sweep failed: {argv}")
+        written = path.read_bytes()
+    return {"stdout": hashlib.sha256(stdout.getvalue().encode()).hexdigest(),
+            "output": hashlib.sha256(written).hexdigest()}
+
+
+if __name__ == "__main__":
+    golden = SWEEP_GOLDEN
+    hashes = {grid: {q: sweep_sha256(["sweep", "--quantity", q, *argv]) for q in SWEEP_QUANTITIES}
+              for grid, argv in golden["grids"].items()}
+    for grid, by_quantity in hashes.items():
+        for q, got in by_quantity.items():
+            was = golden["sha256"].get(grid, {}).get(q)
+            print(f"{grid} {q}: {'unchanged' if got == was else 'changed'}")
+    golden["sha256"] = hashes
+    SWEEP_GOLDEN_PATH.write_text(json.dumps(golden, indent=2) + "\n")
+    print(f"wrote {SWEEP_GOLDEN_PATH}")

@@ -76,6 +76,15 @@ class TestFamilies:
         with pytest.raises(ValueError):
             make_qc(-0.1, 0.5)
 
+    @pytest.mark.parametrize("bad", [True, "0.5", float("nan")], ids=["boolean", "string", "nan"])
+    @pytest.mark.parametrize("build,args,name", [
+        (make_cc, lambda x: (x,), "lambda"), (make_f, lambda x: (x,), "lambda"),
+        (make_qc, lambda x: (x, 0.5), "lambda"), (make_qc, lambda x: (0.5, x), "theta"),
+    ], ids=["cc-lambda", "f-lambda", "qc-lambda", "qc-theta"])
+    def test_builders_reject_non_numbers_naming_the_field(self, build, args, name, bad):
+        with pytest.raises(ValueError, match=name):
+            build(*args(bad))
+
 
 class TestFamilyParams:
     def test_build_dispatch(self):
