@@ -6,7 +6,8 @@ Subcommands:
   phase-scan  discord witness of one state across phase-gate angles, CSV
 
 All angles are radians. Exit codes: 0 verdict/output produced, 2 invalid
-input, 3 internal numerical failure.
+input, 3 internal numerical failure, 141 (128 + SIGPIPE) when the reader of
+stdout went away, as in `qdiscern sweep ... | head -1`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import contextlib
 import dataclasses
 import itertools
 import json
+import os
 import sys
 
 import numpy as np
@@ -31,6 +33,7 @@ SWEEP_CHUNK_POINTS = 4096  # grid points per batched witness call in `sweep`: 1 
 SWEEP_QUANTITIES = ("T", "Td", "growth", "all")
 _CONFIG_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ProtocolConfig)}
 _FAMILY_DEFAULTS = {"family": None, "lambda": None, "theta": None}
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader-closed pipe
 
 
 def _fmt(x: float) -> str:
@@ -244,10 +247,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the input was fine; send what is still buffered to /dev/null so that
+        # the interpreter's final flush raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,24 +2,30 @@
 
 Counts are multinomial per measurement setting; reconstruction is linear
 inversion followed by projection onto the physical set, with parametric
-bootstrap for error bars. The projection is Smolin-Gambetta-Smith's: clip
-the negative eigenvalue mass and keep the trace. For one qubit it has a
-closed form, the Bloch vector clipped to the unit ball (see `_physical`);
-two-qubit estimates go through eigh. Probabilities, inversion and
-projection work on stacked states and frequency vectors; one run is a
-batch of one, equal bit for bit to its row of a stacked call. Seeding
-is deterministic: setting i of a run seeded with s uses stream s + i, so
-per-setting sampling is independent of evaluation order.
+bootstrap for error bars. One design serves both directions: the rows
+vec(conj P) of a setting list's projectors give every Born probability
+of an experiment in one row-vector product, Tr(P rho) = vec(conj P).vec(rho),
+and their pseudo-inverse gives the linear-inversion estimate (James,
+Kwiat, Munro & White, PRA 64, 052312 (2001)). The projection is
+Smolin-Gambetta-Smith's: clip the negative eigenvalue mass and keep the
+trace. For one qubit it has a closed form, the Bloch vector clipped to
+the unit ball (see `_physical`); two-qubit estimates go through eigh.
+Probabilities, inversion and projection work on stacked states and
+frequency vectors; one run is a batch of one, equal bit for bit to its
+row of a stacked call. Seeding is deterministic: setting i of a run
+seeded with s uses stream s + i, so per-setting sampling is independent
+of evaluation order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (COMPLETENESS_TOL, ESTIMATE_TRACE_TOL, HERM_TOL, PROB_DRIFT_TOL,
-                     DensityMatrix, hermiticity_defect, kron)
+from .linalg import (COMPLETENESS_TOL, ESTIMATE_TRACE_TOL, HERM_TOL, IDEMPOTENCY_TOL,
+                     PROB_DRIFT_TOL, TRACE_TOL, DensityMatrix, hermiticity_defect, kron)
 
 _BOOT_SEED_OFFSET = 1_000_003  # keeps bootstrap streams clear of setting streams
 
@@ -41,13 +47,22 @@ class MeasurementSetting:
 
     label: str
     projectors: np.ndarray
+    # design-cache key: the projectors themselves, since a label names no design
+    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         projs = np.array(self.projectors, dtype=complex)
         projs.setflags(write=False)
         object.__setattr__(self, "projectors", projs)
+        if np.abs(projs - np.swapaxes(projs.conj(), -1, -2)).max() > HERM_TOL:
+            raise ValueError(f"projectors of setting {self.label!r} must be Hermitian")
+        if np.abs(projs @ projs - projs).max() > IDEMPOTENCY_TOL:
+            raise ValueError(f"projectors of setting {self.label!r} must be idempotent")
+        if np.abs(np.trace(projs, axis1=-2, axis2=-1) - 1.0).max() > TRACE_TOL:
+            raise ValueError(f"projectors of setting {self.label!r} must have rank 1")
         if np.abs(projs.sum(axis=0) - np.eye(projs.shape[-1])).max() > COMPLETENESS_TOL:
             raise ValueError(f"projectors of setting {self.label!r} do not sum to identity")
+        object.__setattr__(self, "_key", (projs.shape, projs.tobytes()))
 
     @property
     def dim(self) -> int:
@@ -60,24 +75,29 @@ def _product(a: MeasurementSetting, b: MeasurementSetting) -> MeasurementSetting
     return MeasurementSetting(a.label + b.label, projs)
 
 
-_PAULI = [MeasurementSetting(b, [np.outer(_KETS[k], _KETS[k].conj()) for k in kets])
-          for b, kets in _BASES.items()]
-_DEFAULT_SETTINGS = {1: _PAULI, 2: [_product(a, b) for a in _PAULI for b in _PAULI]}
-_BY_LABEL = {s.label: s for settings in _DEFAULT_SETTINGS.values() for s in settings}
+@functools.cache
+def _defaults() -> dict[int, list[MeasurementSetting]]:
+    """The default settings by qubit count, built on first use rather than
+    at import."""
+    pauli = [MeasurementSetting(b, [np.outer(_KETS[k], _KETS[k].conj()) for k in kets])
+             for b, kets in _BASES.items()]
+    return {1: pauli, 2: [_product(a, b) for a in pauli for b in pauli]}
 
 
 def setting_from_label(label: str) -> MeasurementSetting:
     """A default setting by its label ('Z' or 'ZX' etc.)."""
-    if label not in _BY_LABEL:
+    by_label = {s.label: s for settings in _defaults().values() for s in settings}
+    if label not in by_label:
         raise ValueError(f"unknown setting label {label!r}")
-    return _BY_LABEL[label]
+    return by_label[label]
 
 
 def default_settings(n_qubits: int) -> list[MeasurementSetting]:
     """Three Pauli bases per qubit: 3 settings for n=1, 9 for n=2."""
-    if n_qubits not in _DEFAULT_SETTINGS:
+    defaults = _defaults()
+    if n_qubits not in defaults:
         raise ValueError(f"unsupported n_qubits {n_qubits}")
-    return list(_DEFAULT_SETTINGS[n_qubits])
+    return list(defaults[n_qubits])
 
 
 @dataclass(frozen=True)
@@ -122,16 +142,51 @@ class ReconstructedState:
     bootstrap_samples: int
 
 
-def outcome_probabilities(rho_mat: np.ndarray, setting: MeasurementSetting) -> np.ndarray:
-    """Born probabilities (..., k) of one setting for stacked states
-    (..., d, d), clamped and renormalized within PROB_DRIFT_TOL; larger
-    drift signals an invalid state."""
-    prods = setting.projectors @ np.asarray(rho_mat)[..., None, :, :]
-    p = np.trace(prods, axis1=-2, axis2=-1).real
+class _Design:
+    """The stacked rows vec(conj P), (M, d*d), of a setting list's
+    projectors, and their pseudo-inverse once an inversion needs it."""
+
+    def __init__(self, settings):
+        self.dim = settings[0].dim
+        self.rows = np.concatenate([s.projectors.conj().reshape(-1, self.dim * self.dim)
+                                    for s in settings])
+
+    @functools.cached_property
+    def pinv(self) -> np.ndarray:
+        """Least-squares inverse of the map vec(rho) -> outcome probabilities."""
+        if np.linalg.matrix_rank(self.rows) < self.dim * self.dim:
+            raise ValueError("singular design: settings are not informationally complete")
+        return np.linalg.pinv(self.rows)
+
+
+_DESIGN_CACHE: dict = {}
+
+
+def _design(settings) -> _Design:
+    """The cached design of a setting list."""
+    key = tuple(s._key for s in settings)
+    if key not in _DESIGN_CACHE:
+        _DESIGN_CACHE[key] = _Design(settings)
+    return _DESIGN_CACHE[key]
+
+
+def outcome_probabilities(rho_mat: np.ndarray, settings) -> list[np.ndarray]:
+    """Born probabilities of every setting for stacked states (..., d, d):
+    one (..., k) array per setting, clamped and renormalized within
+    PROB_DRIFT_TOL; larger drift signals an invalid state."""
+    design = _design(settings)
+    rho_mat = np.asarray(rho_mat)
+    vec = rho_mat.reshape(*rho_mat.shape[:-2], 1, design.dim * design.dim)
+    # one row-vector product per state: a stacked (n, d*d) @ (d*d, M) product
+    # rounds differently from its rows, so a stacked call would not be n
+    # one-state calls
+    p = (vec @ design.rows.T)[..., 0, :].real
+    p = p.reshape(*p.shape[:-1], len(settings), -1)
     if p.min() < -PROB_DRIFT_TOL or np.abs(p.sum(axis=-1) - 1.0).max() > PROB_DRIFT_TOL:
         raise ValueError(f"outcome probabilities drifted beyond tolerance: {p}")
     p = np.clip(p, 0.0, 1.0)
-    return p / p.sum(axis=-1, keepdims=True)
+    p = p / p.sum(axis=-1, keepdims=True)
+    return [p[..., i, :] for i in range(len(settings))]
 
 
 def _multinomial(probs_per_setting, shots: int, n_samples: int | None, seed: int) -> list:
@@ -151,34 +206,17 @@ def simulate_counts(rho, settings, shots: int, seed: int) -> TomographyRecord:
     if shots <= 0:
         raise ValueError("shots must be positive")
     rho_mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    counts = _multinomial([outcome_probabilities(rho_mat, s) for s in settings], shots, None, seed)
+    counts = _multinomial(outcome_probabilities(rho_mat, settings), shots, None, seed)
     return TomographyRecord(tuple(settings), tuple(tuple(c.tolist()) for c in counts), shots, seed)
-
-
-_PINV_CACHE: dict = {}
-
-
-def _design_pinv(settings) -> tuple[np.ndarray, np.ndarray, int]:
-    """Least-squares inverse of the map vec(rho) -> outcome probabilities,
-    cached under the projectors themselves: a label names no design."""
-    dim = settings[0].dim
-    key = tuple((s.projectors.shape, s.projectors.tobytes()) for s in settings)
-    if key not in _PINV_CACHE:
-        a = np.concatenate([s.projectors.conj().reshape(-1, dim * dim) for s in settings])
-        if np.linalg.matrix_rank(a) < dim * dim:
-            raise ValueError("singular design: settings are not informationally complete")
-        _PINV_CACHE[key] = (a, np.linalg.pinv(a), dim)
-    return _PINV_CACHE[key]
 
 
 def linear_inversion(settings, frequencies: np.ndarray) -> np.ndarray:
     """Hermitian unit-trace estimates (..., d, d) from outcome frequencies
     (..., M) (may be unphysical)."""
-    _, pinv, dim = _design_pinv(settings)
+    design = _design(settings)
     freqs = np.asarray(frequencies, dtype=complex)
-    # one row-vector product per estimate: a (B, M) @ (M, d*d) product rounds
-    # differently from its rows, so a stacked call would not be B one-row calls
-    m = (freqs[..., None, :] @ pinv.T).reshape(*freqs.shape[:-1], dim, dim)
+    # one row-vector product per estimate, as in outcome_probabilities
+    m = (freqs[..., None, :] @ design.pinv.T).reshape(*freqs.shape[:-1], design.dim, design.dim)
     m = (m + np.swapaxes(m.conj(), -1, -2)) / 2
     return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
 
@@ -261,7 +299,7 @@ def sample_reconstructions(rho_mat: np.ndarray, settings, shots: int,
                            n_samples: int, seed: int) -> np.ndarray:
     """Reconstructions of n_samples independent synthetic runs on rho_mat,
     one state (d, d) or one state per run (n_samples, d, d)."""
-    probs = [outcome_probabilities(rho_mat, s) for s in settings]
+    probs = outcome_probabilities(rho_mat, settings)
     return reconstruct_batch(settings, sample_frequencies(probs, shots, n_samples, seed))
 
 

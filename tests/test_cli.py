@@ -7,6 +7,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -311,6 +314,21 @@ class TestSweep:
                          "--theta-grid", "0.1:1.0:2",
                          "--output", "/nonexistent-dir/x.csv")
         assert code == 2
+
+    def test_closed_pipe_exits_141_quietly(self):
+        # 10k rows, far more than a pipe holds: the write after the reader
+        # closes fails with EPIPE
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qdiscern.cli", "sweep", "--lambda-grid", "0:1:100",
+             "--theta-grid", "0:1:100"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE == 141
+        assert first.startswith(b"# {")
+        assert err == b""
 
 
 class TestPhaseScan:

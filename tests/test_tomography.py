@@ -55,6 +55,16 @@ class TestDefaultSettings:
         with pytest.raises(ValueError):
             MeasurementSetting("bad", (p, p))
 
+    @pytest.mark.parametrize("projectors,defect", [
+        ([[[1, .3], [0, 0]], [[0, -.3], [0, 1]]], "Hermitian"),
+        ([np.diag([1.5, -0.5]), np.diag([-0.5, 1.5])], "idempotent"),
+        ([np.eye(2), np.zeros((2, 2))], "rank 1"),
+    ], ids=["non-hermitian", "negative-eigenvalue", "rank-2"])
+    def test_non_projector_rejected_naming_the_setting(self, projectors, defect):
+        # each set sums to the identity, so only the projector check can catch it
+        with pytest.raises(ValueError, match=f"'bad'.*{defect}"):
+            MeasurementSetting("bad", projectors)
+
 
 class TestSimulateCounts:
     def test_deterministic_outcome(self):
@@ -92,14 +102,84 @@ class TestSimulateCounts:
     def test_invalid_probabilities_rejected(self):
         bad = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(ValueError, match="drift"):
-            outcome_probabilities(bad, setting_from_label("Z"))
+            outcome_probabilities(bad, [setting_from_label("Z")])
+
+
+def _trace_form(rho, settings):
+    """Born probabilities (n, M) as k traces Tr(P rho) per setting."""
+    projs = np.concatenate([s.projectors for s in settings])
+    return np.trace(projs @ rho[:, None], axis1=-2, axis2=-1).real
+
+
+@st.composite
+def state_stacks(draw, dim):
+    """1 to 200 states (n, d, d): Ginibre-mixed, pure, 1/d, or (d = 4) a
+    maximally mixed system marginal, product or maximally entangled."""
+    n = draw(st.integers(1, 200))
+    kind = draw(st.sampled_from(["mixed", "pure", "identity", "degenerate-product",
+                                 "degenerate-entangled"] if dim == 4 else ["mixed", "pure", "identity"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
+    if kind == "identity":
+        return np.broadcast_to(np.eye(dim, dtype=complex) / dim, (n, dim, dim)).copy()
+    if kind == "pure":
+        g = g[..., :1]
+    elif kind == "degenerate-product":
+        g = np.kron(np.eye(2), g[:, :2, :2])
+    elif kind == "degenerate-entangled":
+        # (1 x V)|Phi+> = sum_i |i> x V|i>, V unitary: both marginals are 1/2
+        g = np.swapaxes(np.linalg.qr(g[:, :2, :2])[0], -1, -2).reshape(n, 4, 1)
+    rho = g @ np.swapaxes(g.conj(), -1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1)[:, None, None]
+
+
+class TestOutcomeProbabilities:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 2]).flatmap(lambda n: st.tuples(st.just(n), state_stacks(2 ** n))))
+    def test_design_rows_match_trace_form(self, case):
+        n_qubits, rho = case
+        settings_ = default_settings(n_qubits)
+        got = np.moveaxis(np.array(outcome_probabilities(rho, settings_)), 0, -2)
+        assert_allclose(got.reshape(len(rho), -1), _trace_form(rho, settings_), rtol=0, atol=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 2]).flatmap(lambda n: st.tuples(st.just(n), state_stacks(2 ** n))))
+    def test_stacked_call_equals_one_state_calls(self, case):
+        n_qubits, rho = case
+        settings_ = default_settings(n_qubits)
+        stacked = np.moveaxis(np.array(outcome_probabilities(rho, settings_)), 0, -2)
+        assert np.array_equal(stacked, np.array([outcome_probabilities(r, settings_) for r in rho]))
+
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    def test_drift_in_any_one_setting_raises(self, n_qubits):
+        # 1/d + 1.5 (sigma_a x sigma_b ...)/d: negative probability in setting (a, b, ...)
+        # only; every other setting's Pauli term has zero mean
+        settings_ = default_settings(n_qubits)
+        sigma = {"Z": PAULIS[2], "X": PAULIS[0], "Y": PAULIS[1]}
+        good = np.eye(2 ** n_qubits, dtype=complex) / 2 ** n_qubits
+        for bad_setting in settings_:
+            paulis = [sigma[b] for b in bad_setting.label]
+            bad = good + 1.5 * (paulis[0] if n_qubits == 1 else np.kron(*paulis)) / 2 ** n_qubits
+            for stack in (bad, np.array([good, bad, good])):
+                with pytest.raises(ValueError, match="drift"):
+                    outcome_probabilities(stack, settings_)
+
+    def test_one_incomplete_setting(self, monkeypatch):
+        # the forward map needs no informationally complete design; inversion does
+        monkeypatch.setattr(tomography, "_DESIGN_CACHE", {})
+        z = [setting_from_label("Z")]
+        (p,) = outcome_probabilities(MIXED.mat, z)
+        assert_allclose(p, [0.5, 0.5], rtol=0, atol=1e-15)
+        assert np.array_equal(outcome_probabilities(KET_H_STATE.mat, z)[0], [1.0, 0.0])
+        with pytest.raises(ValueError, match="singular"):
+            linear_inversion(z, p)
 
 
 class TestLinearInversion:
     @pytest.mark.parametrize("rho", [make_cc(0.64), make_qc(0.7, np.pi / 4), make_f(0.65)])
     def test_exact_probabilities_recover_state(self, rho):
         settings = default_settings(2)
-        freqs = np.concatenate([outcome_probabilities(rho.mat, s) for s in settings])
+        freqs = np.concatenate(outcome_probabilities(rho.mat, settings))
         est = linear_inversion(settings, freqs)
         assert np.abs(est - rho.mat).max() < 1e-10
 
@@ -108,18 +188,18 @@ class TestLinearInversion:
         settings = default_settings(1)
         for _ in range(10):
             rho = random_density(rng, 2)
-            freqs = np.concatenate([outcome_probabilities(rho.mat, s) for s in settings])
+            freqs = np.concatenate(outcome_probabilities(rho.mat, settings))
             assert np.abs(linear_inversion(settings, freqs) - rho.mat).max() < 1e-10
 
     @pytest.mark.parametrize("reordered_first", [False, True])
     def test_design_cache_tells_reordered_projectors_apart(self, monkeypatch, reordered_first):
         # same labels, Z outcomes swapped: a different design
-        monkeypatch.setattr(tomography, "_PINV_CACHE", {})
+        monkeypatch.setattr(tomography, "_DESIGN_CACHE", {})
         z, x, y = default_settings(1)
         designs = [[z, x, y], [MeasurementSetting("Z", z.projectors[::-1]), x, y]]
         rho = random_density(np.random.default_rng(5), 2)
         for settings in designs[::-1] if reordered_first else designs:
-            freqs = np.concatenate([outcome_probabilities(rho.mat, s) for s in settings])
+            freqs = np.concatenate(outcome_probabilities(rho.mat, settings))
             assert np.abs(linear_inversion(settings, freqs) - rho.mat).max() < 1e-10
 
     def test_singular_design_rejected(self):
@@ -198,7 +278,7 @@ def test_reconstruct_batch_equals_one_row_calls(n_qubits):
     # a pure state at 50 shots: most estimates lie outside the physical set
     rho = KET_H_STATE.mat if n_qubits == 1 else np.kron(KET_H_STATE.mat, KET_H_STATE.mat)
     settings_ = default_settings(n_qubits)
-    probs = [outcome_probabilities(rho, s) for s in settings_]
+    probs = outcome_probabilities(rho, settings_)
     freqs = sample_frequencies(probs, 50, 40, seed=11)
     stacked = reconstruct_batch(settings_, freqs)
     assert np.array_equal(stacked, np.array([reconstruct_batch(settings_, f) for f in freqs]))
