@@ -16,7 +16,9 @@ import numpy as np
 
 from .linalg import (DEGENERACY_GAP, HERM_TOL, IDEMPOTENCY_TOL, TRACE_TOL, UNITARY_TOL,
                      DensityMatrix, hermiticity_defect, kron, partial_trace, two_qubit)
-from .states import KET_H, projector
+from .states import PROJ_H, _constant
+
+_EYE2 = _constant([[1, 0], [0, 1]])
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,7 @@ def phase_gate(phi: float) -> np.ndarray:
 
 def lift(op: np.ndarray) -> np.ndarray:
     """System operators (..., 2, 2) on the two-qubit space: op x 1."""
-    return kron(op, np.eye(2))
+    return kron(op, _EYE2)
 
 
 def eigenprojectors(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -72,14 +74,14 @@ def eigenprojectors(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lead = v[..., :, 1]
     projs = lead[..., :, None] * lead.conj()[..., None, :]
     degenerate = w[..., 1] - w[..., 0] < DEGENERACY_GAP
-    projs[degenerate] = projector(KET_H)
+    projs[degenerate] = PROJ_H
     return projs, degenerate
 
 
 def pinch(rho: np.ndarray, projs: np.ndarray) -> np.ndarray:
     """Dephase rho (..., 4, 4) in the system bases {Pi, 1-Pi} (lifted as Pi x 1)."""
     p = lift(projs)
-    q = lift(np.eye(2) - projs)
+    q = lift(_EYE2 - projs)
     return p @ rho @ p + q @ rho @ q
 
 
@@ -100,7 +102,7 @@ def system_unitary(v) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     if v.shape != (2, 2):
         raise ValueError("unitary dimension does not match the system factor")
-    if np.abs(v.conj().T @ v - np.eye(2)).max() > UNITARY_TOL:
+    if np.abs(v.conj().T @ v - _EYE2).max() > UNITARY_TOL:
         raise ValueError("v is not unitary")
     return v
 

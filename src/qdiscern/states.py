@@ -13,11 +13,6 @@ import numpy as np
 
 from .linalg import DensityMatrix, is_finite_real, kron
 
-KET_H = np.array([1.0, 0.0], dtype=complex)
-KET_V = np.array([0.0, 1.0], dtype=complex)
-KET_0 = np.array([1.0, 0.0], dtype=complex)
-KET_1 = np.array([0.0, 1.0], dtype=complex)
-
 FAMILIES = ("CC", "QC", "F")
 
 
@@ -26,6 +21,28 @@ def projector(ket: np.ndarray) -> np.ndarray:
     ket = np.asarray(ket, dtype=complex)
     norm = (ket.conj() * ket).sum(axis=-1)[..., None, None]
     return ket[..., :, None] * ket.conj()[..., None, :] / norm
+
+
+def _constant(rows) -> np.ndarray:
+    """A read-only complex matrix, so that no caller can alter a shared operator."""
+    m = np.array(rows, dtype=complex)
+    m.setflags(write=False)
+    return m
+
+
+# The families' fixed operators. Each equals, byte for byte, its projector and
+# kron expression (tests/test_states.py checks this); literals keep numpy's
+# first-call costs out of the import.
+PROJ_H = _constant([[1, 0], [0, 0]])  # |H><H|
+PROJ_1 = _constant([[0, 0], [0, 1]])  # |1><1|
+PROJ_H0 = _constant([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])  # |H0><H0|
+PROJ_V1 = _constant([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]])  # |V1><V1|
+# (K0, K1) with the state lam K0 + (1 - lam) K1. F's terms |H><H| x 1/2 and
+# |V><V| x 1/2 give the same floats as kron(lam |H><H| + (1 - lam) |V><V|, 1/2):
+# every factor is 0, 1/2 or 1.
+_TERMS = {"CC": (PROJ_H0, PROJ_V1),
+          "F": (_constant([[.5, 0, 0, 0], [0, .5, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+                _constant([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, .5, 0], [0, 0, 0, .5]]))}
 
 
 def theta_ket(theta) -> np.ndarray:
@@ -57,15 +74,10 @@ class FamilyParams:
             raise ValueError(f"theta is meaningful only for QC, got {self.theta} for {self.family}")
 
     def build(self) -> DensityMatrix:
-        lam = self.lam
-        if self.family == "CC":
-            m = lam * kron(projector(KET_H), projector(KET_0)) \
-                + (1 - lam) * kron(projector(KET_V), projector(KET_1))
-        elif self.family == "QC":
-            m = qc_matrices(lam, self.theta)
-        else:
-            m = kron(lam * projector(KET_H) + (1 - lam) * projector(KET_V), np.eye(2) / 2)
-        return DensityMatrix(m, (2, 2))
+        if self.family == "QC":
+            return DensityMatrix(qc_matrices(self.lam, self.theta), (2, 2))
+        k0, k1 = _TERMS[self.family]
+        return DensityMatrix(self.lam * k0 + (1 - self.lam) * k1, (2, 2))
 
     def to_json(self) -> dict:
         return {"family": self.family, "lambda": self.lam, "theta": self.theta}
@@ -78,8 +90,7 @@ class FamilyParams:
 def qc_matrices(lam, theta) -> np.ndarray:
     """Unvalidated QC states (..., 4, 4) for broadcast arrays lam, theta."""
     lam = np.asarray(lam, dtype=float)[..., None, None]
-    return lam * kron(projector(KET_H), projector(KET_0)) \
-        + (1 - lam) * kron(projector(theta_ket(theta)), projector(KET_1))
+    return lam * PROJ_H0 + (1 - lam) * kron(projector(theta_ket(theta)), PROJ_1)
 
 
 def make_cc(lam: float) -> DensityMatrix:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import _gate_diagonal, eigenprojectors, lift, system_unitary
+from .channels import eigenprojectors, lift, system_unitary
 from .linalg import (
     CROSS_CHECK_TOL,
     RANGE_SLACK,
@@ -83,17 +83,19 @@ def _blocks(rho: np.ndarray) -> np.ndarray:
     return np.stack([t[..., :, 0, :, 0], t[..., :, 1, :, 1]], axis=-3)
 
 
-def _sandwich(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b^dagger for broadcast (..., 2, 2) operators, as one contraction
-    with the superoperator a (x) conj(b) acting on the row-major vec(x)."""
-    out = np.einsum("...ij,...j->...i", kron(a, b.conj()), x.reshape(*x.shape[:-2], 4))
+def _sandwich(sup: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a x b^dagger for broadcast (..., 2, 2) operators x, as one contraction
+    of the row-major vec(x) with the superoperator sup = kron(a, conj(b))."""
+    out = np.einsum("...ij,...j->...i", sup, x.reshape(*x.shape[:-2], 4))
     return out.reshape(*out.shape[:-1], 2, 2)
 
 
 def _evolved_marginal(x: np.ndarray, phi) -> np.ndarray:
     """sum_e D_e x_e D_e^dagger: the system marginal after U(phi) of an
     operator with environment-diagonal blocks x (..., 2, 2, 2)."""
-    d = _gate_diagonal(phi)[..., 1::2]  # U's diagonal at (s, e = 1): the diagonal of D_1
+    e = np.exp(1j * np.asarray(phi, dtype=float))
+    d = np.ones((*e.shape, 2), dtype=complex)  # the diagonal of D_1: (e^{i phi}, 1)
+    d[..., 0] = e
     return x[..., 0, :, :] + d[..., :, None] * d.conj()[..., None, :] * x[..., 1, :, :]
 
 
@@ -146,10 +148,10 @@ def td_values(rho: np.ndarray, phi, projs: np.ndarray) -> np.ndarray:
 def growth_values(rho: np.ndarray, v: np.ndarray, phi) -> np.ndarray:
     """T_u(t) - T_u(0) for stacked states, system unitaries and phases."""
     m = partial_trace(rho, 0)
-    t0 = trace_distances(_sandwich(v, m, v), m)
+    sup = kron(v, v.conj())  # V . V^dagger on vec, built once for the marginal and the blocks
+    t0 = trace_distances(_sandwich(sup, m), m)
     blocks = _blocks(rho)
-    vb = v[..., None, :, :]
-    t1 = 0.5 * trace_norm(_evolved_marginal(_sandwich(vb, blocks, vb) - blocks, phi))
+    t1 = 0.5 * trace_norm(_evolved_marginal(_sandwich(sup[..., None, :, :], blocks) - blocks, phi))
     return check_finite(t1 - t0, "growth witness")
 
 

@@ -2,11 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
+from qdiscern import channels, states
 from qdiscern.channels import eigenprojectors
-from qdiscern.linalg import partial_trace
-from qdiscern.states import FamilyParams, make_cc, make_f, make_qc, theta_ket
+from qdiscern.linalg import kron, partial_trace
+from qdiscern.states import (FAMILIES, FamilyParams, make_cc, make_f, make_qc, projector, qc_matrices,
+                             theta_ket)
 
 
 class TestThetaKet:
@@ -120,3 +125,93 @@ class TestFamilyParams:
         p = FamilyParams("QC", 0.7, np.pi / 4)
         back = FamilyParams.from_json(json.loads(json.dumps(p.to_json())))
         assert back == p
+
+
+KET_H = np.array([1.0, 0.0], dtype=complex)
+KET_V = np.array([0.0, 1.0], dtype=complex)
+KET_0 = np.array([1.0, 0.0], dtype=complex)
+KET_1 = np.array([0.0, 1.0], dtype=complex)
+
+
+def _per_call_qc(lam, theta):
+    """QC states with a projector and a Kronecker product per term and call:
+    the reference that `qc_matrices` and the constants must equal bit for bit."""
+    lam = np.asarray(lam, dtype=float)[..., None, None]
+    return lam * kron(projector(KET_H), projector(KET_0)) \
+        + (1 - lam) * kron(projector(theta_ket(theta)), projector(KET_1))
+
+
+def _per_call_build(family, lam, theta):
+    """`FamilyParams.build().mat` formed per call, as in `_per_call_qc`."""
+    if family == "CC":
+        return lam * kron(projector(KET_H), projector(KET_0)) \
+            + (1 - lam) * kron(projector(KET_V), projector(KET_1))
+    if family == "QC":
+        return _per_call_qc(lam, theta)
+    return kron(lam * projector(KET_H) + (1 - lam) * projector(KET_V), np.eye(2) / 2)
+
+
+# each constant and the per-call expression it replaces
+CONSTANTS = {
+    "PROJ_H": (states.PROJ_H, projector(KET_H)),
+    "PROJ_1": (states.PROJ_1, projector(KET_1)),
+    "PROJ_H0": (states.PROJ_H0, kron(projector(KET_H), projector(KET_0))),
+    "PROJ_V1": (states.PROJ_V1, kron(projector(KET_V), projector(KET_1))),
+    "F_H": (states._TERMS["F"][0], kron(projector(KET_H), np.eye(2) / 2)),
+    "F_V": (states._TERMS["F"][1], kron(projector(KET_V), np.eye(2) / 2)),
+    "channels_EYE2": (channels._EYE2, np.eye(2, dtype=complex)),
+}
+grids = hnp.array_shapes(min_dims=1, max_dims=2, max_side=7)
+
+
+class TestConstantOperators:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(FAMILIES), st.floats(0.0, 1.0), st.floats(0.0, np.pi / 2))
+    @example("F", 0.5, 0.0)
+    @example("CC", 1.0, 0.0)
+    @example("QC", 0.0, np.pi / 2)
+    def test_build_equals_the_per_call_formula(self, family, lam, theta):
+        theta = theta if family == "QC" else 0.0
+        assert np.array_equal(FamilyParams(family, lam, theta).build().mat,
+                              _per_call_build(family, lam, theta))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), grids, grids)
+    def test_qc_matrices_on_stacked_grids_equal_the_per_call_formula(self, data, lam_shape, theta_shape):
+        lam = data.draw(hnp.arrays(float, lam_shape, elements=st.floats(0.0, 1.0)))
+        theta = data.draw(hnp.arrays(float, theta_shape, elements=st.floats(0.0, np.pi / 2)))
+        lam = lam.reshape(*lam.shape, *(1,) * theta.ndim)  # a (lam, theta) grid
+        assert np.array_equal(qc_matrices(lam, theta), _per_call_qc(lam, theta))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2**32 - 1), st.booleans()), min_size=1, max_size=8))
+    def test_degenerate_marginals_get_the_per_call_h_projector(self, draws):
+        """A Hermitian matrix with its system marginal shifted to tr/2 times 1
+        is degenerate; the others are generic."""
+        rhos = []
+        for seed, degenerate in draws:
+            re, im = np.random.default_rng(seed).normal(size=(2, 4, 4))
+            g = re + 1j * im
+            h = g + g.conj().T
+            if degenerate:
+                m = partial_trace(h, 0)
+                h = h - kron(m - np.trace(m) / 2 * np.eye(2), np.eye(2) / 2)
+            rhos.append(h)
+        projs, flags = eigenprojectors(np.array(rhos))
+        assert flags.tolist() == [d for _, d in draws]
+        assert all(np.array_equal(p, projector(KET_H)) for p in projs[flags])
+        assert not np.shares_memory(projs, states.PROJ_H)
+
+    @pytest.mark.parametrize("name", CONSTANTS)
+    def test_constants_hold_the_per_call_bytes_and_are_read_only(self, name):
+        constant, per_call = CONSTANTS[name]
+        assert (constant.dtype, constant.shape, constant.tobytes()) \
+            == (per_call.dtype, per_call.shape, per_call.tobytes())
+        with pytest.raises(ValueError):
+            constant[0, 0] = 2.0
+
+    @pytest.mark.parametrize("params", [FamilyParams("CC", 0.64), FamilyParams("F", 0.65),
+                                        FamilyParams("QC", 0.7, np.pi / 4)], ids=["CC", "F", "QC"])
+    def test_build_shares_no_memory_with_the_constants(self, params):
+        mat = params.build().mat
+        assert not any(np.shares_memory(mat, c) for c, _ in CONSTANTS.values())

@@ -2,12 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import oracle
 from qdiscern import witness
-from qdiscern.channels import half_wave_plate
-from qdiscern.linalg import NumericalError, kron
+from qdiscern.channels import _gate_diagonal, eigenprojectors, half_wave_plate
+from qdiscern.linalg import NumericalError, kron, partial_trace, trace_distances, trace_norm
 from qdiscern.states import make_cc, make_f, make_qc
 from qdiscern.witness import (
     CORRELATION_WITNESS,
@@ -18,7 +20,7 @@ from qdiscern.witness import (
     zero_line_lambda,
     zero_line_residual,
 )
-from random_states import random_density
+from random_states import random_density, random_unitary
 
 # Golden values below were first confirmed against tests/oracle.py
 GOLD_DISCORD_QC_HALF = np.sqrt(2) / 4
@@ -180,3 +182,50 @@ class TestWitnessReport:
         rep = witness_Td(make_qc(0.5, np.pi / 4), np.pi)
         d = rep.to_json()
         assert set(d) == {"value", "kind", "inputs_digest", "degenerate_basis", "sigma"}
+
+
+def _per_call_sandwich(a, x, b):
+    """a x b^dagger through a superoperator kron(a, conj(b)) built per call."""
+    out = np.einsum("...ij,...j->...i", kron(a, b.conj()), x.reshape(*x.shape[:-2], 4))
+    return out.reshape(*out.shape[:-1], 2, 2)
+
+
+def _per_call_evolved_marginal(x, phi):
+    """D_1's diagonal sliced from U's 4-entry diagonal."""
+    d = _gate_diagonal(phi)[..., 1::2]
+    return x[..., 0, :, :] + d[..., :, None] * d.conj()[..., None, :] * x[..., 1, :, :]
+
+
+def _per_call_td(rho, phi, projs):
+    c, ket, perp = witness._coherence(rho, projs)
+    x = np.diagonal(c, axis1=-2, axis2=-1)[..., None, None] \
+        * (ket[..., :, None] * perp.conj()[..., None, :])[..., None, :, :]
+    m = _per_call_evolved_marginal(x + np.swapaxes(x.conj(), -1, -2), phi)
+    m00, m10 = m[..., 0, 0].real, m[..., 1, 0]
+    return np.sqrt(m00 ** 2 + m10.real ** 2 + m10.imag ** 2)
+
+
+def _per_call_growth(rho, v, phi):
+    m = partial_trace(rho, 0)
+    t0 = trace_distances(_per_call_sandwich(v, m, v), m)
+    blocks = witness._blocks(rho)
+    vb = v[..., None, :, :]
+    t1 = 0.5 * trace_norm(_per_call_evolved_marginal(_per_call_sandwich(vb, blocks, vb) - blocks, phi))
+    return t1 - t0
+
+
+class TestPerCallForms:
+    """Td and growth equal, bit for bit, their forms with D_1 sliced from U's
+    diagonal and a superoperator built per sandwich."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.booleans(), st.booleans())
+    def test_td_and_growth_equal_the_per_call_forms(self, seed, n, stacked_phi, stacked_v):
+        rng = np.random.default_rng(seed)
+        rho = np.array([random_density(rng, 4, (2, 2)).mat for _ in range(n)])
+        phi = rng.uniform(-10, 10, n) if stacked_phi else float(rng.uniform(-10, 10))
+        v = (np.array([random_unitary(rng, 2) for _ in range(n)]) if stacked_v
+             else half_wave_plate(rng.uniform(0, np.pi)))
+        projs, _ = eigenprojectors(rho)
+        assert np.array_equal(witness.td_values(rho, phi, projs), _per_call_td(rho, phi, projs))
+        assert np.array_equal(witness.growth_values(rho, v, phi), _per_call_growth(rho, v, phi))
