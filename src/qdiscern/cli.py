@@ -57,15 +57,13 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _parse_phis(name: str, text: str) -> tuple:
-    """The comma-separated phases of option `name`."""
-    if not text:
-        return ()
+def _parse_phis(text: str) -> tuple:
+    """The comma-separated phases of `--phis`."""
     try:
         phis = tuple(float(p) for p in text.split(","))
     except ValueError:
-        raise ValueError(f"{name} must be comma-separated numbers, got {text!r}")
-    _check_finite(name, *phis)
+        raise ValueError(f"phis must be comma-separated numbers, got {text!r}")
+    _check_finite("phis", *phis)
     return phis
 
 
@@ -122,8 +120,6 @@ def cmd_classify(args) -> int:
     for key in ("shots", "bootstrap_samples", "seed"):
         if isinstance(kw[key], float) and kw[key].is_integer():  # JSON 1e5
             kw[key] = int(kw[key])
-    if isinstance(kw["retry_phis"], str):
-        kw["retry_phis"] = _parse_phis("retry_phis", kw["retry_phis"])
     config = ProtocolConfig(**kw)
     result = classify(params.build(), config, digest=params.to_json())
     out = result.to_json()
@@ -186,9 +182,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_phase_scan(args) -> int:
     params = _family_params(_resolve(args, _FAMILY_DEFAULTS))
-    phis = _parse_phis("phis", args.phis)
-    if not phis:
-        raise ValueError("--phis must list at least one angle")
+    phis = _parse_phis(args.phis)
     rho = params.build().mat
     values = td_values(rho, np.array(phis), eigenprojectors(rho)[0])
     resolved = {"command": "phase-scan", "family_params": params.to_json(), "phis": list(phis)}
@@ -219,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--bootstrap", dest="bootstrap_samples", type=int)
     pc.add_argument("--threshold-sigma", dest="threshold_sigma", type=float)
     pc.add_argument("--exact-epsilon", dest="exact_epsilon", type=float)
-    pc.add_argument("--retry-phis", dest="retry_phis", help="comma-separated fallback phases")
     pc.add_argument("--emit-states", action="store_true", default=None)
     pc.add_argument("--config", help="JSON config file; flags override")
     pc.set_defaults(func=cmd_classify)

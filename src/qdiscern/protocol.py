@@ -7,12 +7,9 @@ tests for growth of the marginal trace distance: growth means classical
 correlations (CC), no growth means factorized (F).
 
 Both modes run this cascade through one function, `_cascade`; a mode only
-says how it measures each stage's value, threshold and error bar. Stage 1
-tries phi, then each of retry_phis, and stops at the first phase that
-fires. The reported Td, its threshold and the states emitted for stage 1
-belong to that phase, or to phi when no phase fires. Stage 2 runs at phi.
-thresholds_used["stage2_threshold"] is None unless stage 2 ran. Exact mode
-compares both stages with exact_epsilon.
+says how it measures each stage's value, threshold and error bar. Both
+stages run once, at phi. thresholds_used["stage2_threshold"] is None unless
+stage 2 ran. Exact mode compares both stages with exact_epsilon.
 
 In simulated mode every state that the experiment would measure is
 tomographed from multinomial counts. Stage 1 fires when the measured
@@ -30,16 +27,17 @@ Seeding: tomography experiment j of a run uses stream seed + 100*j (and
 its setting i stream + i), so a fixed master seed reproduces every count,
 estimate and verdict bit-exactly. An experiment is one measured state or
 one batch of B replicas, numbered in the order they run: the two-qubit
-estimate of the state; then 7 per phase tried (the two observed
-marginals, the null's projector tomography and its two marginals, the
-two bootstrapped marginals); then 8 for stage 2 (four observed marginals,
-four bootstrapped). A run thus consumes 1 + 7 per phase tried, plus 8 if
-it reaches stage 2.
+estimate of the state; then 7 for stage 1 (the two observed marginals,
+the null's projector tomography and its two marginals, the two
+bootstrapped marginals); then 8 for stage 2 (four observed marginals, four
+bootstrapped). A run thus consumes 1 + 7 experiments, plus 8 if it reaches
+stage 2.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from dataclasses import asdict, dataclass
 
@@ -56,6 +54,10 @@ VERDICT_CC = "CC"
 VERDICT_F = "F"
 
 _EXPERIMENT_STRIDE = 100  # > settings per experiment, keeps seed streams disjoint
+# |sin(phi/2)| below this means a blind phase: the gate is the identity, so
+# Td and growth are 0 for every state. At phi = 0, +-2pi and 4pi the float
+# sin(phi/2) is at most 4e-16 in magnitude.
+_BLIND_PHASE_SIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -68,19 +70,17 @@ class ProtocolConfig:
     threshold_sigma: float = 3.0
     exact_epsilon: float = 1e-9
     seed: int = 0
-    retry_phis: tuple = ()
     emit_states: bool = False
 
     def __post_init__(self):
-        if np.ndim(self.retry_phis) != 1:  # rejects strings, None, numbers and nested lists
-            raise ValueError(f"retry_phis must be a list of phases, got {self.retry_phis!r}")
-        retry_phis = tuple(self.retry_phis)
         floats = {"phi": self.phi, "hwp_angle": self.hwp_angle,
-                  "threshold_sigma": self.threshold_sigma, "exact_epsilon": self.exact_epsilon,
-                  **{f"retry_phis[{i}]": p for i, p in enumerate(retry_phis)}}
+                  "threshold_sigma": self.threshold_sigma, "exact_epsilon": self.exact_epsilon}
         bad = [k for k, v in floats.items() if not is_finite_real(v)]
         if bad:
             raise ValueError(f"not a finite number: {', '.join(bad)}")
+        if abs(math.sin(self.phi / 2)) < _BLIND_PHASE_SIN:
+            raise ValueError(f"phi must not be a multiple of 2*pi, where neither witness sees "
+                             f"anything, got {self.phi!r}")
         if self.mode not in ("exact", "simulated"):
             raise ValueError(f"mode must be 'exact' or 'simulated', got {self.mode!r}")
         if self.threshold_sigma <= 0 or self.exact_epsilon <= 0:
@@ -102,10 +102,9 @@ class ProtocolConfig:
             object.__setattr__(self, k, float(getattr(self, k)))
         for k in ints:
             object.__setattr__(self, k, int(getattr(self, k)))
-        object.__setattr__(self, "retry_phis", tuple(map(float, retry_phis)))
 
     def to_json(self) -> dict:
-        return {**asdict(self), "retry_phis": list(self.retry_phis)}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -152,10 +151,6 @@ def classify_simulated(params: FamilyParams, config: ProtocolConfig) -> Classifi
     return classify(params.build(), config, digest=params.to_json())
 
 
-def _digest(base: dict, config: ProtocolConfig, phi: float) -> dict:
-    return {**base, "phi": phi, "hwp_angle": config.hwp_angle}
-
-
 def _marginals(**states) -> dict:
     """Validated system marginals of named (4, 4) states, for the caller."""
     return {k: DensityMatrix(partial_trace(v, 0), (2,)) for k, v in states.items()}
@@ -163,29 +158,21 @@ def _marginals(**states) -> dict:
 
 def _cascade(config: ProtocolConfig, digest: dict, degenerate: bool, states: dict,
              stage1, stage2) -> ClassificationResult:
-    """The decision policy of both modes. `stage1(phi)` and `stage2()` each
+    """The decision policy of both modes. `stage1()` and `stage2()` each
     return (value, threshold, sigma, emitted states); `states` holds the
     states emitted before stage 1 and collects the rest."""
-    td_report = None
-    for phi in (config.phi, *config.retry_phis):
-        value, threshold, sigma, phase_states = stage1(phi)
-        fired = value > threshold
-        if td_report is None or fired:
-            td_report = WitnessReport(value, DISCORD_WITNESS, _digest(digest, config, phi),
-                                      degenerate, sigma=sigma)
-            stage1_threshold = threshold
-            states.update(phase_states)
-        if fired:
-            break
-    thresholds = {"stage1_threshold": stage1_threshold, "stage2_threshold": None,
+    digest = {**digest, "phi": config.phi, "hwp_angle": config.hwp_angle}
+    value, threshold, sigma, stage1_states = stage1()
+    td_report = WitnessReport(value, DISCORD_WITNESS, digest, degenerate, sigma=sigma)
+    states.update(stage1_states)
+    thresholds = {"stage1_threshold": threshold, "stage2_threshold": None,
                   "threshold_sigma": config.threshold_sigma, "exact_epsilon": config.exact_epsilon}
     emitted = states if config.emit_states else None
-    if fired:
+    if value > threshold:
         return ClassificationResult(VERDICT_QC, td_report, None, degenerate, thresholds, emitted)
 
     value, threshold, sigma, stage2_states = stage2()
-    growth_report = WitnessReport(value, CORRELATION_WITNESS, _digest(digest, config, config.phi),
-                                  degenerate, sigma=sigma)
+    growth_report = WitnessReport(value, CORRELATION_WITNESS, digest, degenerate, sigma=sigma)
     thresholds["stage2_threshold"] = threshold
     states.update(stage2_states)
     verdict = VERDICT_CC if value > threshold else VERDICT_F
@@ -195,19 +182,19 @@ def _cascade(config: ProtocolConfig, digest: dict, degenerate: bool, states: dic
 def _classify_exact(rho: DensityMatrix, config: ProtocolConfig, digest: dict) -> ClassificationResult:
     r = two_qubit(rho)
     proj, degenerate = eigenprojectors(r)
-    eps, emit = config.exact_epsilon, config.emit_states
+    phi, eps, emit = config.phi, config.exact_epsilon, config.emit_states
 
-    def stage1(phi):
+    def stage1():
         states = _marginals(rho_s_t=evolve(r, phi), rho_s_d_t=evolve(pinch(r, proj), phi)) if emit else {}
         return float(td_values(r, phi, proj)), eps, None, states
 
     def stage2():
         v = half_wave_plate(config.hwp_angle)
-        growth = float(growth_values(r, v, config.phi))
+        growth = float(growth_values(r, v, phi))
         if not emit:
             return growth, eps, None, {}
         rho_u = rotate(r, v)
-        return growth, eps, None, _marginals(rho_s_u_0=rho_u, rho_s_u_t=evolve(rho_u, config.phi))
+        return growth, eps, None, _marginals(rho_s_u_0=rho_u, rho_s_u_t=evolve(rho_u, phi))
 
     return _cascade(config, digest, bool(degenerate), _marginals(rho_s_0=r) if emit else {},
                     stage1, stage2)
@@ -232,7 +219,7 @@ def growth_stat(marginals, measure) -> tuple[np.ndarray, list]:
 
 def _classify_simulated(rho: DensityMatrix, config: ProtocolConfig, digest: dict) -> ClassificationResult:
     settings1, settings2 = default_settings(1), default_settings(2)
-    shots, b = config.shots, config.bootstrap_samples
+    phi, shots, b = config.phi, config.shots, config.bootstrap_samples
     seeds = itertools.count(config.seed, _EXPERIMENT_STRIDE)
 
     def observe(state: np.ndarray, settings=settings1) -> np.ndarray:
@@ -252,7 +239,7 @@ def _classify_simulated(rho: DensityMatrix, config: ProtocolConfig, digest: dict
     # the zero-discord surrogate of the estimate, for the stage-1 null
     rho_null = pinch(rho_hat, proj)
 
-    def stage1(phi):
+    def stage1():
         td_hat, m_t, md_t = td_stat(partial_trace(evolve(r, phi), 0),
                                     partial_trace(evolve(rho_d, phi), 0), observe)
         # the null reruns the whole pipeline, projector tomography included
@@ -269,8 +256,7 @@ def _classify_simulated(rho: DensityMatrix, config: ProtocolConfig, digest: dict
 
     def stage2():
         rho_u = rotate(r, half_wave_plate(config.hwp_angle))
-        marginals = [partial_trace(s, 0) for s in
-                     (r, rho_u, evolve(r, config.phi), evolve(rho_u, config.phi))]
+        marginals = [partial_trace(s, 0) for s in (r, rho_u, evolve(r, phi), evolve(rho_u, phi))]
         growth_hat, estimates = growth_stat(marginals, observe)
         sigma2 = float(growth_stat(estimates, replicate)[0].std())
         check_finite([growth_hat, sigma2], "stage-2 statistic")

@@ -113,13 +113,11 @@ class TestClassify:
         {"lambda": True}, {"lambda": "0.5"}, {"theta": True, "family": "qc"},
         {"theta": "0.5", "family": "qc"}, {"shots": True}, {"shots": 1.7}, {"shots": "100"},
         {"bootstrap_samples": False}, {"bootstrap_samples": 20.5}, {"seed": "3"},
-        {"seed": True}, {"seed": 3.5}, {"seed": -5}, {"retry_phis": 3.0}, {"retry_phis": None},
-        {"retry_phis": "abc"}, {"retry_phis": "1,,2"},
+        {"seed": True}, {"seed": 3.5}, {"seed": -5}, {"retry_phis": [np.pi]},
     ], ids=["unknown-key", "non-boolean-emit-states", "boolean-lambda", "string-lambda",
             "boolean-theta", "string-theta", "boolean-shots", "fractional-shots",
             "string-shots", "boolean-bootstrap", "fractional-bootstrap", "string-seed",
-            "boolean-seed", "fractional-seed", "negative-seed", "number-retry-phis",
-            "null-retry-phis", "word-retry-phis", "empty-field-retry-phis"])
+            "boolean-seed", "fractional-seed", "negative-seed", "retired-key"])
     def test_bad_config_entry_is_exit_2(self, capsys, tmp_path, entry):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"family": "cc", "lambda": 0.64, **entry}))
@@ -130,13 +128,39 @@ class TestClassify:
 
 
 @pytest.mark.parametrize("argv,name", [
-    (["classify", "--family", "cc", "--lambda", "0.64", "--retry-phis", "1,,2"], "retry_phis"),
     (["phase-scan", "--family", "cc", "--lambda", "0.64", "--phis", "1,,2"], "phis"),
-], ids=["classify-retry-phis", "phase-scan-phis"])
+    (["phase-scan", "--family", "cc", "--lambda", "0.64", "--phis", ""], "phis"),
+], ids=["phase-scan-phis", "phase-scan-empty-phis"])
 def test_malformed_phase_list_is_exit_2_naming_the_option(capsys, argv, name):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert name in err
+    assert out == ""
+
+
+def test_retired_fallback_phase_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--family", "cc", "--lambda", "0.64", "--retry-phis", "3.14"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+BLIND_PHASES = ["0", repr(2 * np.pi), repr(-2 * np.pi), repr(4 * np.pi)]
+
+
+@pytest.mark.parametrize("phi", BLIND_PHASES)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_blind_classify_phase_is_exit_2(capsys, tmp_path, phi, source):
+    argv = ["classify", "--family", "qc", "--lambda", "0.5", "--theta", "0.7853981633974483"]
+    if source == "flag":
+        argv += ["--phi", phi]
+    else:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"phi": float(phi)}))
+        argv += ["--config", str(cfg)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "phi" in err
     assert out == ""
 
 
@@ -145,7 +169,6 @@ NON_FINITE = [
     ("classify", "--hwp-angle", "inf"),
     ("classify", "--threshold-sigma", "inf"),
     ("classify", "--exact-epsilon", "nan"),
-    ("classify", "--retry-phis", "1.0,nan"),
     ("sweep", "--phi", "nan"),
     ("sweep", "--hwp-angle", "inf"),
     ("sweep", "--lambda-grid", "nan:0.9:2"),
@@ -154,7 +177,6 @@ NON_FINITE = [
     ("sweep", "--config", '{"phi": true}'),
     ("sweep", "--config", '{"hwp_angle": false}'),
     ("classify", "--config", '{"phi": true}'),
-    ("classify", "--config", '{"retry_phis": [true]}'),
 ]
 BASE_ARGV = {
     "classify": ["classify", "--family", "qc", "--lambda", "0.7", "--theta", "0.7"],
@@ -182,6 +204,15 @@ def test_non_finite_input_is_exit_2(capsys, tmp_path, command, flag, value):
 
 
 class TestSweep:
+    def test_zero_phase_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--lambda-grid", "0.2:0.8:3", "--theta-grid",
+                           "0.3:1.2:3", "--phi", "0")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[2:]]
+        assert len(rows) == 9
+        # no evolution at phi = 0: Td and growth are both 0
+        assert all(abs(float(r[4])) < 1e-12 and abs(float(r[5])) < 1e-12 for r in rows)
+
     def test_td_golden_point(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"
         code, _, _ = run(capsys, "sweep", "--quantity", "Td",
@@ -360,8 +391,21 @@ class TestPhaseScan:
 
     def test_zero_phase_blind(self, capsys):
         code, out, _ = run(capsys, "phase-scan", "--family", "qc", "--lambda", "0.6",
-                           "--theta", "0.9", "--phis", "0.0")
-        assert float(out.splitlines()[2].split(",")[1]) < 1e-12
+                           "--theta", "0.9", "--phis", ",".join(BLIND_PHASES))
+        assert code == 0
+        assert all(abs(float(line.split(",")[1])) < 1e-12 for line in out.splitlines()[2:])
+
+    def test_rows_scale_with_sin_half_phi(self, capsys):
+        # Td(phi) = |sin(phi/2)| Td(pi) for every state
+        phis = [PI, "0.3", "-1.7", "2.9", "5.5", "-9.1"]
+        code, out, _ = run(capsys, "phase-scan", "--family", "qc", "--lambda", "0.55",
+                           "--theta", "0.9", "--phis", ",".join(phis))
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[2:]]
+        at_pi = float(rows[0][1])
+        assert at_pi > 0.1
+        for phi, value in rows:
+            assert abs(float(value) - abs(np.sin(float(phi) / 2)) * at_pi) < 1e-15
 
 
 def sweep_sha256(argv: list[str]) -> dict:

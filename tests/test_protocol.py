@@ -74,14 +74,16 @@ class TestExactMode:
         assert {"rho_s_0", "rho_s_t", "rho_s_d_t", "rho_s_u_0", "rho_s_u_t"} \
             <= set(res.intermediate_states)
 
-    def test_retry_phis(self):
-        # phi = 0 alone sees nothing; a pi retry rescues the detection
-        blind = ProtocolConfig(mode="exact", phi=0.0)
-        rescued = ProtocolConfig(mode="exact", phi=0.0, retry_phis=(np.pi,))
-        rho = make_qc(0.5, np.pi / 4)
-        assert classify(rho, blind).verdict != VERDICT_QC
-        assert classify(rho, rescued).verdict == VERDICT_QC
+    def test_small_phase_still_detects(self):
+        # Td(phi) = |sin(phi/2)| Td(pi), well above exact_epsilon at phi = 1e-6
+        res = classify(make_qc(0.5, np.pi / 4), ProtocolConfig(mode="exact", phi=1e-6))
+        assert res.verdict == VERDICT_QC
+        assert abs(res.td_report.value - 0.25 * np.sin(5e-7)) < 1e-15
 
+    def test_both_stages_report_the_configured_phase(self):
+        res = classify(make_cc(0.64), ProtocolConfig(mode="exact", phi=1.1))
+        assert res.td_report.inputs_digest["phi"] == res.growth_report.inputs_digest["phi"] == 1.1
+        assert res.verdict == VERDICT_CC
 
     def test_stage2_threshold_only_when_stage_2_runs(self):
         qc = classify(make_qc(0.7, np.pi / 4), EXACT).thresholds_used
@@ -124,9 +126,7 @@ class TestSimulatedMode:
 
 @pytest.mark.parametrize("mode,hat", [("exact", ""), ("simulated", "_hat")])
 def test_emitted_stage1_states_belong_to_the_reported_phase(mode, hat):
-    # phi = 0 is blind, so the pi retry fires and is the reported phase
-    cfg = ProtocolConfig(mode=mode, phi=0.0, retry_phis=(np.pi,), emit_states=True,
-                         shots=20_000, bootstrap_samples=50, seed=3)
+    cfg = ProtocolConfig(mode=mode, emit_states=True, shots=20_000, bootstrap_samples=50, seed=3)
     res = classify(make_qc(0.5, np.pi / 4), cfg)
     assert res.verdict == VERDICT_QC
     assert res.td_report.inputs_digest["phi"] == np.pi
@@ -156,8 +156,7 @@ class TestStructure:
 
     @pytest.mark.parametrize("field,value", [
         ("phi", float("nan")), ("hwp_angle", float("inf")), ("threshold_sigma", float("inf")),
-        ("exact_epsilon", float("nan")), ("retry_phis", (1.0, float("-inf"))), ("phi", "abc"),
-        ("phi", True), ("threshold_sigma", False), ("retry_phis", (1.0, True)),
+        ("exact_epsilon", float("nan")), ("phi", "abc"), ("phi", True), ("threshold_sigma", False),
     ])
     def test_config_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match="finite"):
@@ -176,30 +175,24 @@ class TestStructure:
         cfg = ProtocolConfig(shots=np.int64(1000), bootstrap_samples=np.int32(20), seed=np.int64(0))
         assert (cfg.shots, cfg.bootstrap_samples, cfg.seed) == (1000, 20, 0)
 
-    @pytest.mark.parametrize("value", ["1.0", None, 3.0], ids=["string", "none", "number"])
-    def test_config_rejects_retry_phis_that_are_not_a_list(self, value):
-        with pytest.raises(ValueError, match="retry_phis"):
-            ProtocolConfig(retry_phis=value)
+    @pytest.mark.parametrize("phi", [0.0, 2 * np.pi, -2 * np.pi, 4 * np.pi])
+    def test_config_rejects_blind_phases(self, phi):
+        # sin(phi/2) = 0: the phase gate is the identity and both witnesses read 0
+        with pytest.raises(ValueError, match="phi"):
+            ProtocolConfig(phi=phi)
 
     def test_config_stores_plain_python_numbers(self):
         cfg = ProtocolConfig(phi=np.float32(1), hwp_angle=np.float64(0.3), threshold_sigma=2,
                              exact_epsilon=np.float32(1e-6), shots=np.int64(5),
-                             bootstrap_samples=np.int32(20), seed=np.uint8(3),
-                             retry_phis=[np.float32(2), 1])
+                             bootstrap_samples=np.int32(20), seed=np.uint8(3))
         d = cfg.to_json()
         assert json.loads(json.dumps(d)) == d
         assert all(type(d[k]) is float for k in ("phi", "hwp_angle", "threshold_sigma", "exact_epsilon"))
         assert all(type(d[k]) is int for k in ("shots", "bootstrap_samples", "seed"))
-        assert cfg.retry_phis == (2.0, 1.0) and all(type(p) is float for p in cfg.retry_phis)
-
-    def test_config_with_a_list_of_phases_equals_the_tuple_config(self):
-        listed, tupled = ProtocolConfig(retry_phis=[1.0]), ProtocolConfig(retry_phis=(1.0,))
-        assert listed == tupled and hash(listed) == hash(tupled)
 
     def test_config_json_round_trip(self):
-        cfg = ProtocolConfig(mode="simulated", phi=1.1, retry_phis=(2.0,), emit_states=True)
-        d = cfg.to_json()
-        assert ProtocolConfig(**{**d, "retry_phis": tuple(d["retry_phis"])}) == cfg
+        cfg = ProtocolConfig(mode="simulated", phi=1.1, emit_states=True)
+        assert ProtocolConfig(**cfg.to_json()) == cfg
 
     def test_result_json_shape(self):
         res = classify(make_cc(0.64), EXACT)

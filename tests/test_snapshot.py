@@ -4,8 +4,8 @@ snapshot in tests/data/sim_snapshot.json.
 
 Counts must be identical; floats and emitted matrices must agree within
 FLOAT_TOL, because batched and one-at-a-time linear algebra may round
-differently. The `retry_cases` run a blind first phase (phi = 0) with a
-pi retry and emit the estimated states.
+differently. The `emit_cases` rerun the first seeds with emit_states set and
+also pin the estimated states; emitting states must not change the run.
 
 Regenerate the snapshot (only on purpose, when the seed-stream contract
 changes) with:  PYTHONPATH=src python tests/test_snapshot.py
@@ -29,8 +29,9 @@ SHOTS, BOOTSTRAP = 20_000, 50
 FLOAT_TOL = 1e-12
 FLOATS = ("td_value", "td_sigma", "growth_value", "growth_sigma",
           "stage1_threshold", "stage2_threshold")
-RETRY_SEEDS = range(10)
-RETRY = {"phi": 0.0, "retry_phis": (math.pi,), "emit_states": True}
+EMIT_SEEDS = range(10)
+EMIT = {"emit_states": True}
+SECTIONS = ("cases", "emit_cases")
 
 
 _default_rng = np.random.default_rng
@@ -95,7 +96,7 @@ def run_case(params: FamilyParams, seed: int, **options) -> dict:
 def snapshot():
     data = json.loads(SNAPSHOT.read_text())
     return {key: {(c["family"], c["seed"]): c for c in data[key]}
-            for key in ("cases", "retry_cases")}
+            for key in SECTIONS}
 
 
 def _check(got: dict, want: dict, where):
@@ -119,10 +120,17 @@ def test_simulated_runs_match_snapshot(params, snapshot):
 
 
 @pytest.mark.parametrize("params", STATES, ids=lambda p: p.family)
-def test_retried_runs_with_emitted_states_match_snapshot(params, snapshot):
-    for seed in RETRY_SEEDS:
-        _check(run_case(params, seed, **RETRY), snapshot["retry_cases"][(params.family, seed)],
+def test_runs_with_emitted_states_match_snapshot(params, snapshot):
+    for seed in EMIT_SEEDS:
+        _check(run_case(params, seed, **EMIT), snapshot["emit_cases"][(params.family, seed)],
                (params, seed))
+
+
+def test_emitting_states_does_not_change_the_run(snapshot):
+    assert len(snapshot["emit_cases"]) == len(STATES) * len(EMIT_SEEDS)
+    for where, emitted in snapshot["emit_cases"].items():
+        plain = snapshot["cases"][where]
+        assert {k: v for k, v in emitted.items() if k != "states"} == plain, where
 
 
 def _float_change(got: dict, want: dict) -> float:
@@ -135,9 +143,13 @@ def _float_change(got: dict, want: dict) -> float:
 
 def compare(old: dict, new: dict) -> list[str]:
     """What a regeneration moves: count hashes, verdicts, and the largest
-    float change among cases whose counts did not move."""
+    float change among cases whose counts did not move. A section that the
+    old snapshot lacks is reported as new."""
     lines = []
-    for key in ("cases", "retry_cases"):
+    for key in SECTIONS:
+        if key not in old:
+            lines.append(f"{key}: new section, {len(new[key])} cases")
+            continue
         before = {(c["family"], c["seed"]): c for c in old[key]}
         moved, verdicts, float_change = [], [], 0.0
         for case in new[key]:
@@ -159,7 +171,7 @@ def generate() -> dict:
     return {
         "shots": SHOTS, "bootstrap_samples": BOOTSTRAP,
         "cases": [run_case(p, s) for p in STATES for s in SEEDS],
-        "retry_cases": [run_case(p, s, **RETRY) for p in STATES for s in RETRY_SEEDS],
+        "emit_cases": [run_case(p, s, **EMIT) for p in STATES for s in EMIT_SEEDS],
     }
 
 
@@ -169,4 +181,4 @@ if __name__ == "__main__":
         print("\n".join(compare(json.loads(SNAPSHOT.read_text()), data)))
     SNAPSHOT.parent.mkdir(exist_ok=True)
     SNAPSHOT.write_text(json.dumps(data, indent=1) + "\n")
-    print(f"wrote {len(data['cases']) + len(data['retry_cases'])} cases to {SNAPSHOT}")
+    print(f"wrote {sum(len(data[key]) for key in SECTIONS)} cases to {SNAPSHOT}")

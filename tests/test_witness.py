@@ -98,6 +98,33 @@ class TestWitnessTd:
                     assert witness_Td(make_qc(lam, theta), np.pi).value > 1e-6
 
 
+def _scaling_state(kind: str, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "ginibre":
+        return random_density(rng, 4, (2, 2)).mat
+    if kind == "pure":
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        return np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    # degenerate system marginals: F(0.5), the maximally mixed state, CC(0.5)
+    return [make_f(0.5).mat, np.eye(4, dtype=complex) / 4, make_cc(0.5).mat][seed % 3]
+
+
+class TestPhaseScaling:
+    """Td(phi) = |sin(phi/2)| Td(pi) for every two-qubit state: the gate
+    only rescales the off-diagonal entry of the evolved marginal."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["ginibre", "pure", "degenerate"]), st.integers(0, 2**32 - 1),
+           st.lists(st.floats(-10, 10), min_size=1, max_size=20))
+    def test_td_scales_with_sin_half_phi(self, kind, seed, phis):
+        rho = _scaling_state(kind, seed)
+        projs, _ = eigenprojectors(rho)
+        phis = np.array(phis)
+        at_pi = witness.td_values(rho, np.pi, projs)
+        assert_allclose(witness.td_values(rho, phis, projs), np.abs(np.sin(phis / 2)) * at_pi,
+                        rtol=0, atol=1e-15)
+
+
 class TestWitnessGrowth:
     def test_cc_golden_value(self):
         v = half_wave_plate(np.pi / 8)
