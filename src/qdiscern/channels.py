@@ -68,11 +68,11 @@ def eigenprojectors(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     marginal of rho (..., 4, 4), and where that marginal is degenerate.
 
     A degenerate marginal has no preferred eigenbasis; by convention it
-    gets |H><H|.
+    gets |H><H|. The projectors are complex for every input dtype.
     """
     w, v = np.linalg.eigh(partial_trace(rho, 0))
     lead = v[..., :, 1]
-    projs = lead[..., :, None] * lead.conj()[..., None, :]
+    projs = np.asarray(lead[..., :, None] * lead.conj()[..., None, :], dtype=complex)
     degenerate = w[..., 1] - w[..., 0] < DEGENERACY_GAP
     projs[degenerate] = PROJ_H
     return projs, degenerate

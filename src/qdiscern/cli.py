@@ -163,7 +163,7 @@ def cmd_sweep(args) -> int:
 
     resolved = {
         "command": "sweep", "quantity": quantity, "phi": phi,
-        "hwp_angle": opts["hwp_angle"], "backend": kernels.BACKEND,
+        "hwp_angle": opts["hwp_angle"],
         "lambda_grid": args.lambda_grid, "theta_grid": args.theta_grid,
     }
     header = "# " + json.dumps(resolved, sort_keys=True) + "\n"

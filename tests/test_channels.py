@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,6 +8,7 @@ from qdiscern.channels import (
     Projector,
     apply_local_system,
     dephase,
+    eigenprojectors,
     half_wave_plate,
     phase_gate,
     phase_gate_evolve,
@@ -13,7 +16,7 @@ from qdiscern.channels import (
 )
 from qdiscern.linalg import DensityMatrix, kron, partial_trace, trace_distance
 from qdiscern.states import make_cc, make_f, make_qc
-from qdiscern.witness import discord_T
+from qdiscern.witness import discord_T, discord_values, td_values
 from random_states import random_density
 
 
@@ -47,6 +50,16 @@ class TestSystemEigenprojector:
         p = system_eigenprojector(make_f(0.5))
         assert p.degenerate_source
         assert_allclose(p.matrix, np.diag([1.0, 0.0]))
+
+    def test_real_degenerate_input_gives_complex_projectors_without_warning(self):
+        rho = np.eye(4) / 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            projs, degenerate = eigenprojectors(rho)
+            td, discord = td_values(rho, np.pi, projs), discord_values(rho, projs)
+        assert projs.dtype == complex and degenerate
+        assert np.array_equal(projs, np.diag([1.0, 0.0]))
+        assert td == 0.0 and discord == 0.0
 
 
 class TestDephase:

@@ -91,9 +91,16 @@ def _bloch_radius(lam, theta):
     return np.hypot(2 * w * np.cos(theta) * np.sin(theta), lam + w * np.cos(2 * theta))
 
 
+# inside the degeneracy gap but off the exact corner (radius 3.6e-11 and 4.5e-11)
+_INSIDE_GAP = [(0.5 + 1e-11, np.pi / 2 - 3e-11), (0.5 - 2e-11, np.pi / 2 - 2e-11)]
+
+
 @PROPERTY
 @given(st.lists(st.tuples(lams, thetas), min_size=1, max_size=8), phis)
 @example([(0.5, np.pi / 2), (0.3, 0.4)], np.pi)
+@example(_INSIDE_GAP, np.pi)
+@example(_INSIDE_GAP, 1.0)
+@example(_INSIDE_GAP, 0.0)
 def test_closed_form_kernel_equals_generic_td(points, phi):
     # Near (but not at) a degenerate marginal the eigenvector is ill-conditioned
     # (error ~ eps / radius), so compare only well-separated or degenerate points.
@@ -104,7 +111,12 @@ def test_closed_form_kernel_equals_generic_td(points, phi):
     lam, theta = np.array(points).T
     rhos = qc_matrices(lam, theta)
     generic = td_values(rhos, phi, eigenprojectors(rhos)[0])
-    assert_allclose(np.diagonal(kernels.td_qc_grid(lam, theta, phi)), generic, rtol=0, atol=TOL)
+    kernel = np.diagonal(kernels.td_qc_grid(lam, theta, phi))
+    assert_allclose(kernel, generic, rtol=0, atol=TOL)
+    # a degenerate marginal takes |H><H|, whose Td is |b_x| / 2 at every phase
+    degenerate = _bloch_radius(lam, theta) < DEGENERACY_GAP / 10
+    half_bx = (1.0 - lam) * np.abs(np.sin(2 * theta)) / 2
+    assert_allclose(kernel[degenerate], half_bx[degenerate], rtol=0, atol=TOL)
 
 
 def _identity(x):

@@ -241,18 +241,48 @@ def _per_call_growth(rho, v, phi):
     return t1 - t0
 
 
+def _ginibre_case(seed, n, stacked_phi, stacked_v):
+    """n Ginibre states with their eigenprojectors, and a phase and a system
+    unitary that are each shared or one per state."""
+    rng = np.random.default_rng(seed)
+    rho = np.array([random_density(rng, 4, (2, 2)).mat for _ in range(n)])
+    phi = rng.uniform(-10, 10, n) if stacked_phi else float(rng.uniform(-10, 10))
+    v = (np.array([random_unitary(rng, 2) for _ in range(n)]) if stacked_v
+         else half_wave_plate(rng.uniform(0, np.pi)))
+    return rho, phi, v, eigenprojectors(rho)[0]
+
+
 class TestPerCallForms:
-    """Td and growth equal, bit for bit, their forms with D_1 sliced from U's
-    diagonal and a superoperator built per sandwich."""
+    """Td and growth agree with reference forms that build the 2x2 evolved
+    marginal with D_1 sliced from U's diagonal, a superoperator per sandwich,
+    and take growth's phi = 0 term from the system marginal. The witnesses
+    take a different floating-point path on purpose (the phase applied to
+    M_10 in real arithmetic), so they agree to a bound, not bit for bit: on
+    46450 Ginibre states the worst gap was 5.6e-17 for Td and 4.4e-16 for
+    growth."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.booleans(), st.booleans())
     def test_td_and_growth_equal_the_per_call_forms(self, seed, n, stacked_phi, stacked_v):
-        rng = np.random.default_rng(seed)
-        rho = np.array([random_density(rng, 4, (2, 2)).mat for _ in range(n)])
-        phi = rng.uniform(-10, 10, n) if stacked_phi else float(rng.uniform(-10, 10))
-        v = (np.array([random_unitary(rng, 2) for _ in range(n)]) if stacked_v
-             else half_wave_plate(rng.uniform(0, np.pi)))
-        projs, _ = eigenprojectors(rho)
-        assert np.array_equal(witness.td_values(rho, phi, projs), _per_call_td(rho, phi, projs))
-        assert np.array_equal(witness.growth_values(rho, v, phi), _per_call_growth(rho, v, phi))
+        rho, phi, v, projs = _ginibre_case(seed, n, stacked_phi, stacked_v)
+        assert_allclose(witness.td_values(rho, phi, projs), _per_call_td(rho, phi, projs),
+                        rtol=0, atol=1e-15)
+        assert_allclose(witness.growth_values(rho, v, phi), _per_call_growth(rho, v, phi),
+                        rtol=0, atol=1e-15)
+
+
+class TestStackedCalls:
+    """A stacked witness call equals its one-row calls bit for bit: a scalar
+    call is a batch of one."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 100), st.booleans(), st.booleans())
+    def test_stacked_call_equals_one_state_calls(self, seed, n, stacked_phi, stacked_v):
+        rho, phi, v, projs = _ginibre_case(seed, n, stacked_phi, stacked_v)
+        td = witness.td_values(rho, phi, projs)
+        growth = witness.growth_values(rho, v, phi)
+        for i in range(n):
+            phi_i = phi[i] if stacked_phi else phi
+            v_i = v[i] if stacked_v else v
+            assert np.array_equal(witness.td_values(rho[i], phi_i, projs[i]), td[i])
+            assert np.array_equal(witness.growth_values(rho[i], v_i, phi_i), growth[i])
