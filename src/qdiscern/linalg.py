@@ -158,7 +158,8 @@ def trace_norm(m):
     if m.shape[-1] != 2:
         return np.abs(np.linalg.eigvalsh(m)).sum(axis=-1)
     a, d, b = m[..., 0, 0].real, m[..., 1, 1].real, m[..., 1, 0]
-    return np.maximum(np.abs(a + d), np.sqrt((a - d) ** 2 + 4 * (b.real ** 2 + b.imag ** 2)))
+    z, re, im = a - d, b.real, b.imag  # x * x: ** on numpy scalars rounds apart
+    return np.maximum(np.abs(a + d), np.sqrt(z * z + 4 * (re * re + im * im)))
 
 
 def trace_distance(a, b) -> float:

@@ -23,12 +23,14 @@ often; it also ignores the distance that projector misestimation alone
 induces. Stage 2's growth statistic is not folded, so the plain rule
 applies there.
 
-Seeding: tomography experiment j of a run uses stream seed + 100*j (and
-its setting i stream + i), so a fixed master seed reproduces every count,
-estimate and verdict bit-exactly. An experiment is one measured state or
-one batch of B replicas, numbered in the order they run: the two-qubit
-estimate of the state; then 7 for stage 1 (the two observed marginals,
-the null's projector tomography and its two marginals, the two
+Seeding: experiment j of a run seeded s draws its settings, in order, from
+one generator on SeedSequence(s, spawn_key=(j,)), the j-th spawned child of
+SeedSequence(s). So a seed reproduces every count, estimate and verdict
+bit-exactly, no two seeds or experiments share a stream, and an experiment
+replays alone from (s, j). An experiment is one measured state (a batch of
+one) or one batch of B replicas, numbered in the order they run: the
+two-qubit estimate of the state; then 7 for stage 1 (the two observed
+marginals, the null's projector tomography and its two marginals, the two
 bootstrapped marginals); then 8 for stage 2 (four observed marginals, four
 bootstrapped). A run thus consumes 1 + 7 experiments, plus 8 if it reaches
 stage 2.
@@ -46,14 +48,13 @@ import numpy as np
 from .channels import eigenprojectors, evolve, half_wave_plate, pinch, rotate
 from .linalg import DensityMatrix, check_finite, is_finite_real, partial_trace, trace_distances, two_qubit
 from .states import FamilyParams
-from .tomography import default_settings, reconstruct_batch, sample_reconstructions, simulate_counts
+from .tomography import default_settings, sample_reconstructions
 from .witness import CORRELATION_WITNESS, DISCORD_WITNESS, WitnessReport, growth_values, td_values
 
 VERDICT_QC = "QC"
 VERDICT_CC = "CC"
 VERDICT_F = "F"
 
-_EXPERIMENT_STRIDE = 100  # > settings per experiment, keeps seed streams disjoint
 # |sin(phi/2)| below this means a blind phase: the gate is the identity, so
 # Td and growth are 0 for every state. At phi = 0, +-2pi and 4pi the float
 # sin(phi/2) is at most 4e-16 in magnitude.
@@ -220,16 +221,15 @@ def growth_stat(marginals, measure) -> tuple[np.ndarray, list]:
 def _classify_simulated(rho: DensityMatrix, config: ProtocolConfig, digest: dict) -> ClassificationResult:
     settings1, settings2 = default_settings(1), default_settings(2)
     phi, shots, b = config.phi, config.shots, config.bootstrap_samples
-    seeds = itertools.count(config.seed, _EXPERIMENT_STRIDE)
+    streams = (np.random.SeedSequence(config.seed, spawn_key=(j,)) for j in itertools.count())
+
+    def replicate(state: np.ndarray, settings=settings1, n: int = b) -> np.ndarray:
+        """n synthetic experiments on one state, or one on each of n states."""
+        return sample_reconstructions(state, settings, shots, n, next(streams))
 
     def observe(state: np.ndarray, settings=settings1) -> np.ndarray:
         """One simulated tomography experiment: the reconstructed state."""
-        rec = simulate_counts(state, settings, shots, next(seeds))
-        return reconstruct_batch(settings, rec.frequencies())
-
-    def replicate(state: np.ndarray, settings=settings1) -> np.ndarray:
-        """B synthetic experiments on one state, or one on each of B states."""
-        return sample_reconstructions(state, settings, shots, b, next(seeds))
+        return replicate(state, settings, 1)[0]
 
     r = two_qubit(rho)
     # Pi from full-state tomography, as the experiment extracts it

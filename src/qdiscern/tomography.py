@@ -12,9 +12,9 @@ trace. For one qubit it has a closed form, the Bloch vector clipped to
 the unit ball (see `_physical`); two-qubit estimates go through eigh.
 Probabilities, inversion and projection work on stacked states and
 frequency vectors; one run is a batch of one, equal bit for bit to its
-row of a stacked call. Seeding is deterministic: setting i of a run
-seeded with s uses stream s + i, so per-setting sampling is independent
-of evaluation order.
+row of a stacked call. Seeding is deterministic: one experiment draws
+every setting, in order, from one generator built from its seed, an int
+or a `numpy.random.SeedSequence`.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ import numpy as np
 
 from .linalg import (COMPLETENESS_TOL, ESTIMATE_TRACE_TOL, HERM_TOL, IDEMPOTENCY_TOL,
                      PROB_DRIFT_TOL, TRACE_TOL, DensityMatrix, hermiticity_defect, kron)
-
-_BOOT_SEED_OFFSET = 1_000_003  # keeps bootstrap streams clear of setting streams
 
 _KETS = {
     "H": np.array([1, 0], dtype=complex),
@@ -189,20 +187,20 @@ def outcome_probabilities(rho_mat: np.ndarray, settings) -> list[np.ndarray]:
     return [p[..., i, :] for i in range(len(settings))]
 
 
-def _multinomial(probs_per_setting, shots: int, n_samples: int | None, seed: int) -> list:
-    """Counts per setting; setting i draws from stream seed + i.
+def _multinomial(probs_per_setting, shots: int, n_samples: int | None, seed) -> list:
+    """Counts per setting, drawn in turn from one generator on `seed`.
 
     A probability vector (k,) gives n_samples draws (n_samples, k), or one
     draw (k,) when n_samples is None; an (n, k) array gives one draw per row.
     """
-    return [np.random.default_rng(seed + i).multinomial(
-                shots, p, size=n_samples if np.ndim(p) == 1 else None)
-            for i, p in enumerate(probs_per_setting)]
+    rng = np.random.default_rng(seed)
+    return [rng.multinomial(shots, p, size=n_samples if np.ndim(p) == 1 else None)
+            for p in probs_per_setting]
 
 
 def simulate_counts(rho, settings, shots: int, seed: int) -> TomographyRecord:
-    """One multinomial draw of `shots` per setting; setting i uses stream seed+i.
-    `rho` is a DensityMatrix or a plain (d, d) matrix."""
+    """One multinomial draw of `shots` per setting, all from the stream of
+    `seed`. `rho` is a DensityMatrix or a plain (d, d) matrix."""
     if shots <= 0:
         raise ValueError("shots must be positive")
     rho_mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
@@ -285,18 +283,18 @@ def reconstruct_batch(settings, freqs: np.ndarray) -> np.ndarray:
     return _physical(linear_inversion(settings, freqs))
 
 
-def sample_frequencies(probs_per_setting, shots: int, n_samples: int, seed: int) -> np.ndarray:
+def sample_frequencies(probs_per_setting, shots: int, n_samples: int, seed) -> np.ndarray:
     """Multinomial frequency samples, concatenated over settings into (n, M).
 
     Each entry of probs_per_setting is either one probability vector or a
-    per-sample (n, k) array; setting i uses stream seed + i as in
-    simulate_counts.
+    per-sample (n, k) array; the settings draw in turn from the stream of
+    `seed` (an int or a SeedSequence), as in simulate_counts.
     """
     return np.concatenate(_multinomial(probs_per_setting, shots, n_samples, seed), axis=1) / shots
 
 
 def sample_reconstructions(rho_mat: np.ndarray, settings, shots: int,
-                           n_samples: int, seed: int) -> np.ndarray:
+                           n_samples: int, seed) -> np.ndarray:
     """Reconstructions of n_samples independent synthetic runs on rho_mat,
     one state (d, d) or one state per run (n_samples, d, d)."""
     probs = outcome_probabilities(rho_mat, settings)
@@ -306,12 +304,13 @@ def sample_reconstructions(rho_mat: np.ndarray, settings, shots: int,
 def reconstruct(record: TomographyRecord, bootstrap_samples: int = 200,
                 bootstrap_seed: int | None = None) -> ReconstructedState:
     """Linear inversion + physicality projection, with parametric bootstrap
-    per-entry standard errors (skipped when bootstrap_samples = 0)."""
+    per-entry standard errors (skipped when bootstrap_samples = 0), drawn by
+    default from the first child of SeedSequence(record.seed)."""
     estimate = project_to_physical(linear_inversion(record.settings, record.frequencies()))
     std_errors = None
     if bootstrap_samples > 0:
         if bootstrap_seed is None:
-            bootstrap_seed = record.seed + _BOOT_SEED_OFFSET
+            bootstrap_seed = np.random.SeedSequence(record.seed, spawn_key=(0,))
         replicas = sample_reconstructions(
             estimate.mat, record.settings, record.shots_per_setting,
             bootstrap_samples, bootstrap_seed)

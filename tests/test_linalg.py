@@ -11,6 +11,7 @@ from qdiscern.linalg import (
     matrix_to_json,
     partial_trace,
     trace_distance,
+    trace_distances,
     trace_norm,
 )
 from qdiscern.states import make_cc, make_f, make_qc
@@ -126,6 +127,15 @@ class TestTraceNorm:
         h += (trace - np.trace(h, axis1=-2, axis2=-1).real)[:, None, None] / 2 * np.eye(2)
         want = np.abs(np.linalg.eigvalsh(h)).sum(axis=-1)
         assert_allclose(trace_norm(h), want, rtol=0, atol=1e-12)
+
+    def test_stacked_call_equals_one_pair_calls(self):
+        # a one-pair call squares numpy scalars, a stacked call squares arrays;
+        # both must round alike for td_stat and growth_stat to be batches of one
+        rng = np.random.default_rng(0)
+        g = rng.normal(size=(2, 20_000, 2, 2)) + 1j * rng.normal(size=(2, 20_000, 2, 2))
+        a, b = g + np.swapaxes(g.conj(), -1, -2)
+        stacked = trace_distances(a, b)
+        assert np.array_equal(stacked, [trace_distances(x, y) for x, y in zip(a, b)])
 
 
 class TestDensityMatrixValidation:

@@ -15,6 +15,7 @@ from qdiscern.protocol import (
 )
 from qdiscern.states import FamilyParams, make_cc, make_f, make_qc
 from qdiscern.witness import zero_line_lambda
+from test_snapshot import stream_key
 
 EXACT = ProtocolConfig(mode="exact")
 
@@ -122,6 +123,37 @@ class TestSimulatedMode:
     def test_requires_simulated_mode(self):
         with pytest.raises(ValueError):
             classify_simulated(FamilyParams("CC", 0.64), EXACT)
+
+
+class TestSeedStreams:
+    """Experiment j of a run seeded s draws from child j of SeedSequence(s)."""
+
+    @staticmethod
+    def run(monkeypatch, params, seed):
+        """The verdict and the stream key of every generator the run builds."""
+        keys, default_rng = [], np.random.default_rng
+
+        def recording(stream=None):
+            keys.append(stream_key(stream))
+            return default_rng(stream)
+
+        with monkeypatch.context() as m:
+            m.setattr(np.random, "default_rng", recording)
+            verdict = classify_simulated(params, ProtocolConfig(mode="simulated", seed=seed)).verdict
+        return verdict, keys
+
+    def test_one_generator_per_experiment(self, monkeypatch):
+        verdict, keys = self.run(monkeypatch, FamilyParams("QC", 0.7, np.pi / 4), 7)
+        assert verdict == VERDICT_QC
+        assert keys == [(7, (j,)) for j in range(8)]
+        verdict, keys = self.run(monkeypatch, FamilyParams("CC", 0.64), 7)
+        assert verdict == VERDICT_CC
+        assert keys == [(7, (j,)) for j in range(16)]
+
+    def test_neighbouring_seeds_share_no_stream(self, monkeypatch):
+        params = FamilyParams("F", 0.65)
+        streams = [set(self.run(monkeypatch, params, seed)[1]) for seed in (0, 1, 100)]
+        assert sum(map(len, streams)) == len(set().union(*streams))
 
 
 @pytest.mark.parametrize("mode,hat", [("exact", ""), ("simulated", "_hat")])

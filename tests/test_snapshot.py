@@ -37,17 +37,24 @@ SECTIONS = ("cases", "emit_cases")
 _default_rng = np.random.default_rng
 
 
+def stream_key(seed) -> tuple:
+    """The stream a seed (an int or a SeedSequence) names: its entropy and
+    spawn key."""
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return ss.entropy, ss.spawn_key
+
+
 class _RecordingGenerator:
-    """A numpy Generator that remembers every multinomial draw, by seed."""
+    """A numpy Generator that remembers every multinomial draw, by stream."""
 
     def __init__(self, seed, draws):
         self._rng = _default_rng(seed)
-        self._seed = seed
+        self._key = stream_key(seed)
         self._draws = draws
 
     def multinomial(self, *args, **kwargs):
         out = self._rng.multinomial(*args, **kwargs)
-        self._draws.append((int(self._seed), out))
+        self._draws.append((self._key, out))
         return out
 
     def __getattr__(self, name):
@@ -55,12 +62,12 @@ class _RecordingGenerator:
 
 
 def _counts_hash(draws) -> str:
-    """SHA-256 over all draws, ordered by seed stream so that evaluation
-    order does not matter."""
+    """SHA-256 over all draws, ordered by stream so that the order of the
+    experiments does not matter; a stream's own draws keep their order."""
     h = hashlib.sha256()
-    for seed, counts in sorted(draws, key=lambda d: d[0]):
+    for key, counts in sorted(draws, key=lambda d: d[0]):
         counts = np.asarray(counts, dtype=np.int64)
-        h.update(f"{seed}:{counts.shape}:".encode())
+        h.update(f"{key}:{counts.shape}:".encode())
         h.update(counts.tobytes())
     return h.hexdigest()
 

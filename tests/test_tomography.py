@@ -87,6 +87,12 @@ class TestSimulateCounts:
         assert abs(heads.mean() - n / 2) < 3 * np.sqrt(n / 4) / np.sqrt(600) * 3
         assert abs(heads.std() - np.sqrt(n / 4)) < 2.0
 
+    def test_neighbouring_seeds_draw_apart(self):
+        # seed s's X counts must not be seed s+1's Z counts; two independent
+        # Binomial(1000, 1/2) draws are equal with chance 0.018
+        runs = [simulate_counts(MIXED, default_settings(1), 1000, seed).counts for seed in range(51)]
+        assert sum(runs[s][1] == runs[s + 1][0] for s in range(50)) <= 3
+
     def test_counts_sum_checked(self):
         settings = default_settings(1)
         with pytest.raises(ValueError):
@@ -300,6 +306,14 @@ class TestReconstruct:
         a = reconstruct(rec, bootstrap_samples=50, bootstrap_seed=8)
         b = reconstruct(rec, bootstrap_samples=50, bootstrap_seed=8)
         assert np.array_equal(a.std_errors, b.std_errors)
+
+    def test_default_bootstrap_stream_is_first_child_of_record_seed(self):
+        rec = simulate_counts(make_qc(0.7, np.pi / 4), default_settings(2), 10_000, 3)
+        default = reconstruct(rec, bootstrap_samples=50).std_errors
+        child = np.random.SeedSequence(3).spawn(1)[0]
+        assert np.array_equal(default, reconstruct(rec, 50, bootstrap_seed=child).std_errors)
+        # an explicit seed wins, and the record's own stream is not reused
+        assert not np.array_equal(default, reconstruct(rec, 50, bootstrap_seed=3).std_errors)
 
     def test_error_scaling_with_shots(self):
         # standard statistical scaling: 4x the shots halves the error bars

@@ -30,3 +30,13 @@ def test_verdict_counts_reports_changed_seeds(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "1 of 4 runs changed verdict or Td" in out
     assert "F(0.5) seed 0:" in out
+
+
+def test_verdict_lines_name_the_seeds_of_minority_verdicts():
+    tool = _load_tool()
+    verdicts = ["F", "F", "QC", "F", "QC", "F", "CC"]
+    result = {"runs": {"F(0.65)": [{"seed": s, "verdict": v, "td": 0.0}
+                                   for s, v in enumerate(verdicts)],
+                       "F(0.5)": [{"seed": 0, "verdict": "F", "td": 0.0}]}}
+    assert tool.verdict_lines(result) == ["F(0.65): CC 1 (seeds 6), F 4, QC 2 (seeds 2, 4)",
+                                          "F(0.5): F 1"]

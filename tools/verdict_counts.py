@@ -2,12 +2,12 @@
 
 Classifies F(0.65), F(0.5), CC(1.0) and CC(0.64) through simulated
 tomography (100k shots, B = 200) for seeds 0 .. N-1, prints how often each
-verdict came out per state and, with --write, stores every verdict and Td
-value as JSON. With --compare it reads such a file, written by another
-checkout, and lists the seeds whose verdict or Td value differ; the exit
-code is then 1. The false verdicts it counts are the false-positive rate
-of simulated mode at these endpoints, until a calibration script measures
-that rate against a stated alpha.
+verdict came out per state, with the seeds of every minority verdict, and,
+with --write, stores every verdict and Td value as JSON. With --compare it
+reads such a file, written by another checkout, and lists the seeds whose
+verdict or Td value differ; the exit code is then 1. The false verdicts it
+counts are the false-positive rate of simulated mode at these endpoints,
+until a calibration script measures that rate against a stated alpha.
 
     PYTHONPATH=/path/to/parent/src python tools/verdict_counts.py --write parent.json
     PYTHONPATH=src python tools/verdict_counts.py --compare parent.json
@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
 
 from qdiscern.protocol import ProtocolConfig, classify_simulated
 from qdiscern.states import FamilyParams
@@ -48,10 +47,19 @@ def run(n_seeds: int) -> dict:
     return {"shots": SHOTS, "bootstrap_samples": BOOTSTRAP, "runs": runs}
 
 
-def verdict_counts(result: dict) -> dict:
-    """Per state, how many seeds gave each verdict."""
-    return {state: dict(sorted(Counter(r["verdict"] for r in rows).items()))
-            for state, rows in result["runs"].items()}
+def verdict_lines(result: dict) -> list[str]:
+    """One line per state: how many seeds gave each verdict, and the seeds
+    of every verdict but the most common one."""
+    lines = []
+    for state, rows in result["runs"].items():
+        seeds = {}
+        for r in rows:
+            seeds.setdefault(r["verdict"], []).append(r["seed"])
+        majority = max(seeds, key=lambda v: len(seeds[v]))
+        lines.append(f"{state}: " + ", ".join(
+            f"{v} {len(s)}" + ("" if v == majority else f" (seeds {', '.join(map(str, s))})")
+            for v, s in sorted(seeds.items())))
+    return lines
 
 
 def changed_seeds(result: dict, other: dict) -> list[str]:
@@ -83,8 +91,7 @@ def main(argv=None) -> int:
         with open(args.compare) as fh:
             other = json.load(fh)
     result = run(args.seeds)
-    for state, counts in verdict_counts(result).items():
-        print(f"{state}: " + ", ".join(f"{v} {n}" for v, n in counts.items()))
+    print("\n".join(verdict_lines(result)))
     if args.write:
         with open(args.write, "w") as fh:
             json.dump(result, fh, indent=1)
