@@ -7,7 +7,8 @@ Subcommands:
 
 All angles are radians. Exit codes: 0 verdict/output produced, 2 invalid
 input, 3 internal numerical failure, 141 (128 + SIGPIPE) when the reader of
-stdout went away, as in `qdiscern sweep ... | head -1`.
+stdout went away, as in `qdiscern sweep ... | head -1`. In-process callers
+of `main` share one parser, built on the first call.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ SWEEP_QUANTITIES = ("T", "Td", "growth", "all")
 _CONFIG_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ProtocolConfig)}
 _FAMILY_DEFAULTS = {"family": None, "lambda": None, "theta": None}
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader-closed pipe
+_parser = None  # built by the first `main` call, not at import
 
 
 def _fmt(x: float) -> str:
@@ -215,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--exact-epsilon", dest="exact_epsilon", type=float)
     pc.add_argument("--emit-states", action="store_true", default=None)
     pc.add_argument("--config", help="JSON config file; flags override")
-    pc.set_defaults(func=cmd_classify)
 
     ps = sub.add_parser("sweep", help="witness values over a (lambda, theta) grid")
     ps.add_argument("--quantity", choices=SWEEP_QUANTITIES)
@@ -225,22 +226,23 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--hwp-angle", dest="hwp_angle", type=float)
     ps.add_argument("--output")
     ps.add_argument("--config")
-    ps.set_defaults(func=cmd_sweep)
 
     pp = sub.add_parser("phase-scan", help="Td of one state across phase angles")
     _add_family_flags(pp)
     pp.add_argument("--phis", required=True, help="comma-separated phase angles")
     pp.add_argument("--output")
     pp.add_argument("--config")
-    pp.set_defaults(func=cmd_phase_scan)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    _parser = _parser or build_parser()
+    args = _parser.parse_args(argv)
+    # looked up per call, so that a rebound `cmd_*` (a tracer, a test stub) is the one run
+    command = {"classify": cmd_classify, "sweep": cmd_sweep, "phase-scan": cmd_phase_scan}[args.command]
     try:
-        code = args.func(args)
+        code = command(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except NumericalError as exc:

@@ -4,7 +4,9 @@ Stage 1 dephases the state in its system eigenbasis and tests the
 phase-gate discord witness; a firing witness means quantum correlations
 (QC). Otherwise stage 2 rotates the system with a half-wave plate and
 tests for growth of the marginal trace distance: growth means classical
-correlations (CC), no growth means factorized (F).
+correlations (CC). Growth is sufficient for correlation, not necessary, so
+no growth reads F, "no correlation detected", not "factorized": some
+correlated states never grow (the README's sign rule).
 
 Both modes run this cascade through one function, `_cascade`; a mode only
 says how it measures each stage's value, threshold and error bar. Both

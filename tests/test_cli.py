@@ -408,6 +408,50 @@ class TestPhaseScan:
             assert abs(float(value) - abs(np.sin(float(phi) / 2)) * at_pi) < 1e-15
 
 
+class TestParserReuse:
+    """In-process `main` calls share one parser, built on the first call."""
+
+    SWEEP = ["sweep", "--lambda-grid", "0.1:0.9:3", "--theta-grid", "0.1:1.4:3"]
+
+    def test_three_commands_build_the_parser_once(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        assert run(capsys, *self.SWEEP)[0] == 0
+        assert run(capsys, "classify", "--family", "cc", "--lambda", "0.64", "--mode", "exact")[0] == 0
+        assert run(capsys, "phase-scan", "--family", "qc", "--lambda", "0.5", "--phis", "1.0")[0] == 0
+        assert len(built) == 1
+
+    def test_import_builds_no_parser(self):
+        code = ("import argparse\n"
+                "built = []\n"
+                "init = argparse.ArgumentParser.__init__\n"
+                "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+                "import qdiscern.cli\n"
+                "print(len(built))\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout == "0\n"
+
+    def test_main_runs_the_current_command_binding(self, capsys, monkeypatch):
+        assert run(capsys, *self.SWEEP)[0] == 0  # the parser exists from here on
+        seen = []
+        monkeypatch.setattr(cli, "cmd_sweep", lambda args: seen.append(args.lambda_grid) or 0)
+        assert run(capsys, *self.SWEEP) == (0, "", "")
+        assert seen == ["0.1:0.9:3"]
+
+    @pytest.mark.parametrize("bad", [["sweep"], ["sweep", "--quantity", "T", "--phi", "0.5"]])
+    def test_usage_error_carries_nothing_into_the_next_call(self, capsys, bad):
+        code, first, _ = run(capsys, *self.SWEEP)
+        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, *self.SWEEP) == (0, first, "")
+
+
 def sweep_sha256(argv: list[str]) -> dict:
     """sha256 of the bytes `qdiscern <argv>` writes to stdout and to --output."""
     stdout = io.StringIO()

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qdiscern.linalg import trace_distances
+from qdiscern.linalg import DensityMatrix, partial_trace, trace_distances
 from qdiscern.protocol import (
     VERDICT_CC,
     VERDICT_F,
@@ -63,6 +63,17 @@ class TestExactMode:
             assert res.td_report.value < 1e-9
             assert res.verdict == VERDICT_CC
             assert res.growth_report.value > 0.1
+
+    def test_correlated_gate_diagonal_state_with_same_sign_deltas_reads_f(self):
+        # growth is sufficient for correlation, not necessary: both blocks
+        # favour H (delta_0 delta_1 > 0), so no plate angle or phase grows
+        rho = DensityMatrix(np.diag([0.5, 0.45, 0.0, 0.05]).astype(complex))  # |H0>, |H1>, |V0>, |V1>
+        product = np.kron(partial_trace(rho, 0).mat, partial_trace(rho, 1).mat)
+        assert trace_distances(rho.mat, product) > 0.04
+        res = classify(rho, EXACT)
+        assert res.verdict == VERDICT_F
+        assert res.td_report.value == 0.0
+        assert abs(res.growth_report.value - (-0.18363)) < 1e-5
 
     def test_degenerate_marginal_flagged(self):
         res = classify(make_f(0.5), EXACT)

@@ -151,6 +151,20 @@ class TestWitnessGrowth:
                     v = witness_growth(make_f(lam), half_wave_plate(alpha), phi).value
                     assert v <= 1e-9
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0, 1), min_size=4, max_size=4).filter(lambda w: sum(w) > 1e-3),
+           st.floats(-4, 4), st.floats(-10, 10))
+    def test_closed_form_on_gate_diagonal_states(self, weights, alpha, phi):
+        # both blocks rho_e diagonal in H/V: with c = cos 2a, s = sin 2a,
+        # delta_e = rho_e[H,H] - rho_e[V,V] and S = delta_0 + delta_1,
+        # growth = |s| (sqrt(s^2 S^2 + c^2 |delta_0 + e^{-i phi} delta_1|^2) - |S|)
+        p = np.array(weights) / sum(weights)  # diagonal over |H0>, |H1>, |V0>, |V1>
+        d0, d1 = p[0] - p[2], p[1] - p[3]
+        c, s, total = np.cos(2 * alpha), np.sin(2 * alpha), d0 + d1
+        want = abs(s) * (np.sqrt(s**2 * total**2 + c**2 * abs(d0 + np.exp(-1j * phi) * d1) ** 2) - abs(total))
+        got = witness.growth_values(np.diag(p).astype(complex), half_wave_plate(alpha), phi)
+        assert abs(got - want) <= 1e-15
+
 
 class TestZeroLine:
     @pytest.mark.parametrize("lam,theta,expected", [
