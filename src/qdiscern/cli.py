@@ -28,9 +28,9 @@ from .channels import eigenprojectors, half_wave_plate
 from .linalg import NumericalError, is_finite_real
 from .protocol import ProtocolConfig, classify
 from .states import FamilyParams, qc_matrices
-from .witness import discord_values, growth_values, td_values
+from .witness import growth_values, td_values
 
-SWEEP_CHUNK_POINTS = 4096  # grid points per batched witness call in `sweep`: 1 MB of 4x4 states
+SWEEP_CHUNK_POINTS = 4096  # grid points per batched call in `sweep`: 1 MB of growth's 4x4 states
 SWEEP_QUANTITIES = ("T", "Td", "growth", "all")
 _CONFIG_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ProtocolConfig)}
 _FAMILY_DEFAULTS = {"family": None, "lambda": None, "theta": None}
@@ -154,14 +154,12 @@ def cmd_sweep(args) -> int:
     columns = ["T", "Td", "growth"] if quantity == "all" else [quantity]
     values = {name: np.empty((len(lams), len(thetas))) for name in columns}
     for rows in chunks:
-        if quantity != "Td":
-            rho = qc_matrices(lams[rows, None], thetas)
         if "T" in values:
-            values["T"][rows] = discord_values(rho, eigenprojectors(rho)[0])
+            values["T"][rows] = kernels.t_qc_grid(lams[rows], thetas)
         if "Td" in values:
             values["Td"][rows] = kernels.td_qc_grid(lams[rows], thetas, phi)
         if "growth" in values:
-            values["growth"][rows] = growth_values(rho, hwp, phi)
+            values["growth"][rows] = growth_values(qc_matrices(lams[rows, None], thetas), hwp, phi)
 
     resolved = {
         "command": "sweep", "quantity": quantity, "phi": phi,

@@ -1,14 +1,22 @@
-"""Td over the QC state family in rational closed form, used by `Td`
-parameter sweeps with no 4x4 state ever built:
+"""T and Td over the QC state family in closed form, used by parameter
+sweeps with no 4x4 state ever built.
 
-  Td = |sin(phi/2)| lam (1 - lam) sin 2theta |b_z| / (b_x^2 + b_z^2),
+With (b_x, b_z) = ((1 - lam) sin 2theta, lam + (1 - lam) cos 2theta) the Bloch
+vector of the system marginal and |b| = hypot(b_x, b_z):
 
-with (b_x, b_z) = ((1 - lam) sin 2theta, lam + (1 - lam) cos 2theta) the Bloch
-vector of the system marginal; b_z is evaluated as cos^2 theta
-- (1 - 2 lam) sin^2 theta, which does not cancel near the degenerate corner
-(lam, theta) = (1/2, pi/2). Where |b| is below `DEGENERACY_GAP` the
-projector is |H><H|, as in ``channels.eigenprojectors``, and Td = |b_x| / 2
-at every phi. The tests hold it equal to ``witness.td_values`` on
+  T  = |c_0| + |c_1| = lam |b_x| / |b|,
+  Td = |sin(phi/2)| lam (1 - lam) sin 2theta |b_z| / (b_x^2 + b_z^2)
+     = |sin(phi/2)| T |b_z| / |b|,
+
+where c_e = <pi|rho_e|pi_perp> are the coherences of the two environment
+blocks in the marginal's eigenbasis; c_0 = -c_1 because pi diagonalizes their
+sum. On the zero line of the phi = pi witness b_z = 0, so Td = 0 while
+T = lam. b_z is evaluated as cos^2 theta - (1 - 2 lam) sin^2 theta, which
+does not cancel near the degenerate corner (lam, theta) = (1/2, pi/2). Where
+|b| is below `DEGENERACY_GAP` the projector is |H><H|, as in
+``channels.eigenprojectors``; then c_0 = 0 and c_1 = b_x / 2, and
+T = Td = |b_x| / 2 at every phi. The tests hold T equal to
+``witness.discord_values`` and Td to ``witness.td_values`` on
 ``states.qc_matrices``.
 """
 
@@ -16,18 +24,44 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEGENERACY_GAP, check_finite
+from .linalg import CROSS_CHECK_TOL, DEGENERACY_GAP, NumericalError, check_finite
 
 BACKEND = "numpy"
 
 
-def td_qc_grid(lams, thetas, phi: float) -> np.ndarray:
-    """Td on the outer grid, shape (len(lams), len(thetas))."""
+def _bloch(lams, thetas):
+    """lam as a column, the Bloch components b_x and b_z on the outer grid,
+    and cos theta and sin theta."""
     lams = np.asarray(lams, dtype=float)[:, None]
     thetas = np.asarray(thetas, dtype=float)
     c, s = np.cos(thetas), np.sin(thetas)
     bx = (1.0 - lams) * (2.0 * c * s)
     bz = c * c - (1.0 - 2.0 * lams) * (s * s)
+    return lams, bx, bz, c, s
+
+
+def t_qc_grid(lams, thetas) -> np.ndarray:
+    """T on the outer grid, shape (len(lams), len(thetas)).
+
+    Cross-checks lam |b_x| / |b| against |c_0| + |c_1| and raises
+    NumericalError if the two disagree.
+    """
+    lams, bx, bz, c, s = _bloch(lams, thetas)
+    r = np.hypot(bx, bz)
+    deg = r < DEGENERACY_GAP
+    r = np.where(deg, 1.0, r)
+    t = check_finite(np.where(deg, 0.5 * np.abs(bx), lams * np.abs(bx) / r), "discord T")
+    # |c_1| = (1 - lam) |b_z sin 2theta - b_x cos 2theta| / (2 |b|), and |c_0| = T / 2
+    c1 = (1.0 - lams) * np.abs(bz * (2.0 * c * s) - bx * (c * c - s * s)) / (2.0 * r)
+    alt = np.where(deg, t, 0.5 * t + c1)
+    if np.any(np.abs(t - alt) > CROSS_CHECK_TOL):
+        raise NumericalError(f"discord forms disagree: {t} vs {alt}")
+    return t
+
+
+def td_qc_grid(lams, thetas, phi: float) -> np.ndarray:
+    """Td on the outer grid, shape (len(lams), len(thetas))."""
+    lams, bx, bz, _, _ = _bloch(lams, thetas)
     r2 = bx * bx + bz * bz
     deg = np.hypot(bx, bz) < DEGENERACY_GAP
     td = abs(np.sin(0.5 * float(phi))) * lams * np.abs(bx * bz) / np.where(deg, 1.0, r2)

@@ -252,6 +252,47 @@ class TestSweep:
         for line in out.splitlines()[2:]:
             assert float(line.split(",")[3]) < 1e-9
 
+    @pytest.mark.parametrize("theta", [1.0, 1.2, 1.4])
+    def test_zero_line_rows_are_discordant_yet_blind(self, capsys, theta):
+        # the phi = pi witness cannot see these discordant states: Td = 0, T = lam
+        from qdiscern.witness import zero_line_lambda
+        lam = zero_line_lambda(theta)
+        code, out, _ = run(capsys, "sweep", "--quantity", "all",
+                           "--lambda-grid", f"{lam!r}:{lam!r}:2", "--theta-grid", f"{theta!r}:{theta!r}:2")
+        assert code == 0
+        rows = [[float(x) for x in line.split(",")] for line in out.splitlines()[2:]]
+        assert len(rows) == 4
+        discord = oracle.discord(oracle.qc(lam, theta))
+        for row_lam, row_theta, _, t, td, _ in rows:
+            assert (row_lam, row_theta) == (lam, theta)
+            assert td < 1e-9
+            assert abs(t - lam) < 1e-12
+            assert abs(t - discord) < 1e-12
+
+    def test_t_sweep_builds_no_state(self, capsys, monkeypatch):
+        argv = ["sweep", "--quantity", "T", *SWEEP_GOLDEN["grids"]["two-chunks-and-a-partial"]]
+        code, want, _ = run(capsys, *argv)
+        assert code == 0
+
+        def refuse(*args):
+            raise AssertionError("a T sweep builds no state")
+
+        monkeypatch.setattr(cli, "qc_matrices", refuse)
+        monkeypatch.setattr(cli, "eigenprojectors", refuse)
+        assert run(capsys, *argv) == (0, want, "")
+
+    def test_all_sweep_builds_states_once_per_chunk_for_growth(self, capsys, monkeypatch):
+        shapes = []
+
+        def refuse(*args):
+            raise AssertionError("a sweep takes no eigenprojectors")
+
+        monkeypatch.setattr(cli, "qc_matrices", lambda lam, theta: shapes.append(lam.shape) or qc_matrices(lam, theta))
+        monkeypatch.setattr(cli, "eigenprojectors", refuse)
+        code, _, _ = run(capsys, "sweep", "--quantity", "all", *SWEEP_GOLDEN["grids"]["two-chunks-and-a-partial"])
+        assert code == 0
+        assert shapes == [(64, 1), (64, 1), (5, 1)]
+
     def test_byte_identical_output(self, capsys):
         argv = ["sweep", "--lambda-grid", "0.1:0.9:4", "--theta-grid", "0.1:1.4:4"]
         _, out1, _ = run(capsys, *argv)

@@ -1,11 +1,13 @@
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from qdiscern import kernels
+from qdiscern.channels import eigenprojectors
 from qdiscern.linalg import NumericalError
-from qdiscern.states import make_qc
-from qdiscern.witness import witness_Td
+from qdiscern.states import make_qc, qc_matrices
+from qdiscern.witness import discord_values, witness_Td, zero_line_lambda
 
 
 def general_td(lam, theta, phi):
@@ -55,3 +57,84 @@ class TestGrid:
     def test_non_finite_output_rejected(self):
         with pytest.raises(NumericalError, match="finite"):
             kernels.td_qc_grid([0.1, 0.9], [0.1, 1.4], float("nan"))
+
+
+def general_t(lams, thetas):
+    rho = qc_matrices(lams, thetas)
+    return discord_values(rho, eigenprojectors(rho)[0])
+
+
+def bloch_norm(lam, theta):
+    return np.hypot((1 - lam) * np.sin(2 * theta), lam + (1 - lam) * np.cos(2 * theta))
+
+
+def exact_t(lam, theta):
+    """T = lam |b_x| / |b| at the float inputs, in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        lam, theta = mpmath.mpf(lam), mpmath.mpf(theta)
+        bx = (1 - lam) * mpmath.sin(2 * theta)
+        bz = lam + (1 - lam) * mpmath.cos(2 * theta)
+        return float(lam * abs(bx) / mpmath.hypot(bx, bz))
+
+
+class TestTKernel:
+    def test_random_points_against_the_general_path(self):
+        rng = np.random.default_rng(43)
+        lams = rng.uniform(0, 1, 400)
+        thetas = rng.uniform(0, np.pi / 2, 400)
+        # eigh-based T is not accurate where |b| is tiny, near (1/2, pi/2)
+        keep = bloch_norm(lams, thetas) > 1e-6
+        assert keep.sum() > 390
+        lams, thetas = lams[keep], thetas[keep]
+        fast = np.diagonal(kernels.t_qc_grid(lams, thetas))
+        assert_allclose(fast, general_t(lams, thetas), rtol=0, atol=1e-12)
+
+    def test_edges_and_degenerate_corner(self):
+        # theta = pi/2 and lam = 1/2 gives the maximally mixed marginal: |H><H| branch
+        points = [(0.0, 0.3), (1.0, 0.3), (0.3, 0.0), (0.3, np.pi / 2), (0.0, 0.0), (1.0, np.pi / 2),
+                  (0.5, np.pi / 2)]
+        for lam, theta in points:
+            fast = kernels.t_qc_grid([lam], [theta])[0, 0]
+            assert abs(fast - general_t(lam, theta)) < 1e-12, (lam, theta)
+
+    def test_accurate_beside_the_degenerate_corner(self):
+        # theta = pi/2 in floating point, just off the gap: eigh-based T reads 3.1e-17 here
+        for lam, want in [(0.5 + 2e-9, 7.65e-9), (0.5 + 1e-6, 1.53e-11)]:
+            value = kernels.t_qc_grid([lam], [np.pi / 2])[0, 0]
+            assert abs(value - exact_t(lam, np.pi / 2)) <= 1e-15 * value
+            assert abs(value - want) < 0.01 * want
+
+    def test_zero_line_reads_lambda(self):
+        thetas = np.linspace(np.pi / 4 + 0.02, np.pi / 2 - 0.02, 20)
+        lams = np.array([zero_line_lambda(theta) for theta in thetas])
+        assert_allclose(np.diagonal(kernels.t_qc_grid(lams, thetas)), lams, rtol=0, atol=1e-12)
+        assert np.diagonal(kernels.td_qc_grid(lams, thetas, np.pi)).max() < 1e-12
+
+    @pytest.mark.parametrize("phi", [np.pi, 0.7])
+    def test_td_is_t_times_the_z_share(self, phi):
+        # Td = |sin(phi/2)| T |b_z| / |b|
+        lams = np.linspace(0, 1, 29)
+        thetas = np.linspace(0, np.pi / 2, 31)
+        bz = np.abs(lams[:, None] + (1 - lams[:, None]) * np.cos(2 * thetas))
+        norm = bloch_norm(lams[:, None], thetas)
+        off_gap = norm > 1e-6
+        want = abs(np.sin(phi / 2)) * kernels.t_qc_grid(lams, thetas) * bz / np.where(off_gap, norm, 1.0)
+        got = kernels.td_qc_grid(lams, thetas, phi)
+        assert_allclose(got[off_gap], want[off_gap], rtol=0, atol=1e-15)
+
+    def test_row_chunks_concatenate_to_the_full_grid(self):
+        lams = np.linspace(0, 1, 37)
+        thetas = np.linspace(0, np.pi / 2, 23)
+        chunks = [kernels.t_qc_grid(lams[i:i + 5], thetas) for i in range(0, len(lams), 5)]
+        assert np.array_equal(np.concatenate(chunks), kernels.t_qc_grid(lams, thetas))
+
+    @pytest.mark.parametrize("lams, thetas", [([0.1, float("nan")], [0.1, 1.4]),
+                                              ([0.1, 0.9], [float("nan"), 1.4])])
+    def test_non_finite_input_rejected(self, lams, thetas):
+        with pytest.raises(NumericalError, match="finite"):
+            kernels.t_qc_grid(lams, thetas)
+
+    def test_disagreeing_forms_raise(self, monkeypatch):
+        monkeypatch.setattr(kernels, "CROSS_CHECK_TOL", -1.0)
+        with pytest.raises(NumericalError, match="discord forms disagree"):
+            kernels.t_qc_grid([0.3], [0.4])
