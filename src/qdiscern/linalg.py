@@ -20,7 +20,6 @@ PSD_TOL = 1e-9  # most negative eigenvalue a state may have
 DEGENERACY_GAP = 1e-9  # eigenvalue gap below which a marginal has no preferred basis
 IDEMPOTENCY_TOL = 1e-9  # max |P P - P| entry of a projector
 UNITARY_TOL = 1e-9  # max |V^dagger V - 1| entry of a unitary
-COMPLETENESS_TOL = 1e-12  # max |sum_k P_k - 1| entry of a measurement setting
 PROB_DRIFT_TOL = 1e-9  # Born probability below 0 or sum off 1, clamped away
 ESTIMATE_TRACE_TOL = 0.1  # |tr - 1| of a raw estimate handed to the physicality projection
 CROSS_CHECK_TOL = 1e-9  # disagreement of the two forms of discord T

@@ -1,15 +1,18 @@
-"""Simulated projective tomography with finite shot budgets.
+"""Simulated Pauli tomography with finite shot budgets.
 
-Counts are multinomial per measurement setting; reconstruction is linear
-inversion followed by projection onto the physical set, with parametric
-bootstrap for error bars. One design serves both directions: the rows
-vec(conj P) of a setting list's projectors give every Born probability
-of an experiment in one row-vector product, Tr(P rho) = vec(conj P).vec(rho),
-and their pseudo-inverse gives the linear-inversion estimate (James,
-Kwiat, Munro & White, PRA 64, 052312 (2001)). The projection is
-Smolin-Gambetta-Smith's: clip the negative eigenvalue mass and keep the
-trace. For one qubit it has a closed form, the Bloch vector clipped to
-the unit ball (see `_physical`); two-qubit estimates go through eigh.
+A measurement setting is a Pauli product basis named by its label: one
+letter of Z (H/V), X (D/A) or Y (R/L) per qubit, system first. Counts are
+multinomial per setting; reconstruction is linear inversion followed by
+projection onto the physical set, with parametric bootstrap for error bars.
+The rows vec(conj P) of a label list's projectors, and their
+pseudo-inverse, are built once per label list and serve both directions:
+the rows give every Born probability of an experiment in one row-vector
+product, Tr(P rho) = vec(conj P).vec(rho), and the pseudo-inverse gives the
+linear-inversion estimate (James, Kwiat, Munro & White, PRA 64, 052312
+(2001)). The projection is Smolin-Gambetta-Smith's: clip the negative
+eigenvalue mass and keep the trace. For one qubit it has a closed form,
+the Bloch vector clipped to the unit ball (see `_physical`); two-qubit
+estimates go through eigh.
 Probabilities, inversion and projection work on stacked states and
 frequency vectors; one run is a batch of one, equal bit for bit to its
 row of a stacked call. Seeding is deterministic: one experiment draws
@@ -20,12 +23,13 @@ or a `numpy.random.SeedSequence`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (COMPLETENESS_TOL, ESTIMATE_TRACE_TOL, HERM_TOL, IDEMPOTENCY_TOL,
-                     PROB_DRIFT_TOL, TRACE_TOL, DensityMatrix, hermiticity_defect, kron)
+from .linalg import (ESTIMATE_TRACE_TOL, HERM_TOL, PROB_DRIFT_TOL, DensityMatrix,
+                     hermiticity_defect, kron)
 
 _KETS = {
     "H": np.array([1, 0], dtype=complex),
@@ -38,56 +42,43 @@ _KETS = {
 _BASES = {"Z": ("H", "V"), "X": ("D", "A"), "Y": ("R", "L")}
 
 
+@functools.cache
+def _projectors(label: str) -> np.ndarray:
+    """The read-only (k, d, d) projectors of a valid label; a two-qubit
+    setting measures its first letter on the system, its second on the
+    environment."""
+    if len(label) == 1:
+        projs = np.array([np.outer(_KETS[k], _KETS[k].conj()) for k in _BASES[label]])
+    else:
+        a, b = (_projectors(letter) for letter in label)
+        projs = kron(a[:, None], b[None]).reshape(-1, 4, 4)
+    projs.setflags(write=False)
+    return projs
+
+
 @dataclass(frozen=True)
 class MeasurementSetting:
-    """One measurement basis: orthonormal rank-1 projectors summing to 1,
-    kept as one read-only (k, d, d) array."""
+    """One Pauli product basis, named by its label ('Z' or 'ZX' etc.). Its
+    projectors, and the rows and pinv of a label list, follow from the
+    labels and are built once, so settings hash and compare by label."""
 
     label: str
-    projectors: np.ndarray
-    # design-cache key: the projectors themselves, since a label names no design
-    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        projs = np.array(self.projectors, dtype=complex)
-        projs.setflags(write=False)
-        object.__setattr__(self, "projectors", projs)
-        if np.abs(projs - np.swapaxes(projs.conj(), -1, -2)).max() > HERM_TOL:
-            raise ValueError(f"projectors of setting {self.label!r} must be Hermitian")
-        if np.abs(projs @ projs - projs).max() > IDEMPOTENCY_TOL:
-            raise ValueError(f"projectors of setting {self.label!r} must be idempotent")
-        if np.abs(np.trace(projs, axis1=-2, axis2=-1) - 1.0).max() > TRACE_TOL:
-            raise ValueError(f"projectors of setting {self.label!r} must have rank 1")
-        if np.abs(projs.sum(axis=0) - np.eye(projs.shape[-1])).max() > COMPLETENESS_TOL:
-            raise ValueError(f"projectors of setting {self.label!r} do not sum to identity")
-        object.__setattr__(self, "_key", (projs.shape, projs.tobytes()))
+        if not (isinstance(self.label, str) and 1 <= len(self.label) <= 2
+                and set(self.label) <= _BASES.keys()):
+            raise ValueError(f"unknown setting label {self.label!r}")
 
     @property
-    def dim(self) -> int:
-        return self.projectors.shape[-1]
-
-
-def _product(a: MeasurementSetting, b: MeasurementSetting) -> MeasurementSetting:
-    """The two-qubit setting measuring a on the system and b on the environment."""
-    projs = kron(a.projectors[:, None], b.projectors[None]).reshape(-1, 4, 4)
-    return MeasurementSetting(a.label + b.label, projs)
+    def projectors(self) -> np.ndarray:
+        return _projectors(self.label)
 
 
 @functools.cache
 def _defaults() -> dict[int, list[MeasurementSetting]]:
-    """The default settings by qubit count, built on first use rather than
-    at import."""
-    pauli = [MeasurementSetting(b, [np.outer(_KETS[k], _KETS[k].conj()) for k in kets])
-             for b, kets in _BASES.items()]
-    return {1: pauli, 2: [_product(a, b) for a in pauli for b in pauli]}
-
-
-def setting_from_label(label: str) -> MeasurementSetting:
-    """A default setting by its label ('Z' or 'ZX' etc.)."""
-    by_label = {s.label: s for settings in _defaults().values() for s in settings}
-    if label not in by_label:
-        raise ValueError(f"unknown setting label {label!r}")
-    return by_label[label]
+    """The default settings by qubit count, ZZ, ZX, ..., YY for two."""
+    return {n: [MeasurementSetting("".join(p)) for p in itertools.product(_BASES, repeat=n)]
+            for n in (1, 2)}
 
 
 def default_settings(n_qubits: int) -> list[MeasurementSetting]:
@@ -98,6 +89,11 @@ def default_settings(n_qubits: int) -> list[MeasurementSetting]:
     return list(defaults[n_qubits])
 
 
+def _is_count(n) -> bool:
+    """Whether n is a non-negative integer; bool is not a count."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 0
+
+
 @dataclass(frozen=True)
 class TomographyRecord:
     settings: tuple
@@ -106,12 +102,17 @@ class TomographyRecord:
     seed: int
 
     def __post_init__(self):
+        if not _is_count(self.shots_per_setting) or self.shots_per_setting == 0:
+            raise ValueError(f"shots_per_setting must be a positive integer, "
+                             f"got {self.shots_per_setting!r}")
         if len(self.counts) != len(self.settings):
             raise ValueError(f"need one count tuple per setting, got {len(self.counts)} "
                              f"for {len(self.settings)}")
         for setting, c in zip(self.settings, self.counts):
             if len(c) != len(setting.projectors):
                 raise ValueError("counts shape does not match settings")
+            if not all(map(_is_count, c)):
+                raise ValueError(f"counts must be non-negative integers, got {c!r}")
             if sum(c) != self.shots_per_setting:
                 raise ValueError("counts within a setting must sum to the shot budget")
 
@@ -128,7 +129,7 @@ class TomographyRecord:
 
     @classmethod
     def from_json(cls, d: dict) -> "TomographyRecord":
-        settings = tuple(setting_from_label(lbl) for lbl in d["settings"])
+        settings = tuple(MeasurementSetting(label) for label in d["settings"])
         counts = tuple(tuple(c) for c in d["counts"])
         return cls(settings, counts, d["shots"], d["seed"])
 
@@ -140,45 +141,34 @@ class ReconstructedState:
     bootstrap_samples: int
 
 
-class _Design:
-    """The stacked rows vec(conj P), (M, d*d), of a setting list's
-    projectors, and their pseudo-inverse once an inversion needs it."""
-
-    def __init__(self, settings):
-        self.dim = settings[0].dim
-        self.rows = np.concatenate([s.projectors.conj().reshape(-1, self.dim * self.dim)
-                                    for s in settings])
-
-    @functools.cached_property
-    def pinv(self) -> np.ndarray:
-        """Least-squares inverse of the map vec(rho) -> outcome probabilities."""
-        if np.linalg.matrix_rank(self.rows) < self.dim * self.dim:
-            raise ValueError("singular design: settings are not informationally complete")
-        return np.linalg.pinv(self.rows)
+@functools.cache
+def _rows(labels: tuple[str, ...]) -> np.ndarray:
+    """The stacked rows vec(conj P), (M, d*d), of a label list's projectors."""
+    projs = [_projectors(label) for label in labels]
+    d = projs[0].shape[-1]
+    return np.concatenate([p.conj().reshape(-1, d * d) for p in projs])
 
 
-_DESIGN_CACHE: dict = {}
-
-
-def _design(settings) -> _Design:
-    """The cached design of a setting list."""
-    key = tuple(s._key for s in settings)
-    if key not in _DESIGN_CACHE:
-        _DESIGN_CACHE[key] = _Design(settings)
-    return _DESIGN_CACHE[key]
+@functools.cache
+def _pinv(labels: tuple[str, ...]) -> np.ndarray:
+    """Least-squares inverse of the map vec(rho) -> outcome probabilities."""
+    rows = _rows(labels)
+    if np.linalg.matrix_rank(rows) < rows.shape[1]:
+        raise ValueError("singular design: settings are not informationally complete")
+    return np.linalg.pinv(rows)
 
 
 def outcome_probabilities(rho_mat: np.ndarray, settings) -> list[np.ndarray]:
     """Born probabilities of every setting for stacked states (..., d, d):
     one (..., k) array per setting, clamped and renormalized within
     PROB_DRIFT_TOL; larger drift signals an invalid state."""
-    design = _design(settings)
+    rows = _rows(tuple(s.label for s in settings))
     rho_mat = np.asarray(rho_mat)
-    vec = rho_mat.reshape(*rho_mat.shape[:-2], 1, design.dim * design.dim)
+    vec = rho_mat.reshape(*rho_mat.shape[:-2], 1, rows.shape[1])
     # one row-vector product per state: a stacked (n, d*d) @ (d*d, M) product
     # rounds differently from its rows, so a stacked call would not be n
     # one-state calls
-    p = (vec @ design.rows.T)[..., 0, :].real
+    p = (vec @ rows.T)[..., 0, :].real
     p = p.reshape(*p.shape[:-1], len(settings), -1)
     if p.min() < -PROB_DRIFT_TOL or np.abs(p.sum(axis=-1) - 1.0).max() > PROB_DRIFT_TOL:
         raise ValueError(f"outcome probabilities drifted beyond tolerance: {p}")
@@ -211,10 +201,11 @@ def simulate_counts(rho, settings, shots: int, seed: int) -> TomographyRecord:
 def linear_inversion(settings, frequencies: np.ndarray) -> np.ndarray:
     """Hermitian unit-trace estimates (..., d, d) from outcome frequencies
     (..., M) (may be unphysical)."""
-    design = _design(settings)
+    pinv = _pinv(tuple(s.label for s in settings))
+    d = 2 ** len(settings[0].label)
     freqs = np.asarray(frequencies, dtype=complex)
     # one row-vector product per estimate, as in outcome_probabilities
-    m = (freqs[..., None, :] @ design.pinv.T).reshape(*freqs.shape[:-1], design.dim, design.dim)
+    m = (freqs[..., None, :] @ pinv.T).reshape(*freqs.shape[:-1], d, d)
     m = (m + np.swapaxes(m.conj(), -1, -2)) / 2
     return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
 
@@ -264,7 +255,7 @@ def _physical(h: np.ndarray) -> np.ndarray:
     return (v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
-def project_to_physical(h: np.ndarray, dims=None) -> DensityMatrix:
+def project_to_physical(h: np.ndarray) -> DensityMatrix:
     """Nearest density matrix: clip negative eigenvalue mass, keep the trace."""
     h = np.asarray(h, dtype=complex)
     if hermiticity_defect(h) > HERM_TOL:
@@ -273,9 +264,7 @@ def project_to_physical(h: np.ndarray, dims=None) -> DensityMatrix:
     if abs(tr - 1.0) > ESTIMATE_TRACE_TOL:
         raise ValueError(f"trace {tr} too far from 1")
     d = h.shape[0]
-    if dims is None:
-        dims = (2, 2) if d == 4 else (d,)
-    return DensityMatrix(_physical(h), dims)
+    return DensityMatrix(_physical(h), (2, 2) if d == 4 else (d,))
 
 
 def reconstruct_batch(settings, freqs: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from qdiscern.tomography import (
     reconstruct,
     reconstruct_batch,
     sample_frequencies,
-    setting_from_label,
     simulate_counts,
 )
 from random_states import random_density
@@ -41,34 +41,46 @@ class TestDefaultSettings:
         assert all(len(s.projectors) == 4 for s in settings)
 
     def test_completeness(self):
+        # every default setting is a complete set of rank-1 orthogonal projectors
         for n in (1, 2):
             for s in default_settings(n):
-                total = sum(s.projectors)
-                assert np.abs(total - np.eye(total.shape[0])).max() < 1e-12
+                projs = s.projectors
+                assert np.abs(projs - np.swapaxes(projs.conj(), -1, -2)).max() < 1e-15
+                assert np.abs(projs @ projs - projs).max() < 1e-15
+                assert np.abs(np.trace(projs, axis1=-2, axis2=-1) - 1.0).max() < 1e-15
+                assert np.abs(projs.sum(axis=0) - np.eye(2 ** n)).max() < 1e-12
 
     def test_unsupported_size(self):
         with pytest.raises(ValueError):
             default_settings(3)
 
-    def test_incomplete_setting_rejected(self):
-        p = np.diag([1.0, 0.0]).astype(complex)
-        with pytest.raises(ValueError):
-            MeasurementSetting("bad", (p, p))
+    def test_projectors_are_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            default_settings(2)[0].projectors[0, 0, 0] = 0
 
-    @pytest.mark.parametrize("projectors,defect", [
-        ([[[1, .3], [0, 0]], [[0, -.3], [0, 1]]], "Hermitian"),
-        ([np.diag([1.5, -0.5]), np.diag([-0.5, 1.5])], "idempotent"),
-        ([np.eye(2), np.zeros((2, 2))], "rank 1"),
-    ], ids=["non-hermitian", "negative-eigenvalue", "rank-2"])
-    def test_non_projector_rejected_naming_the_setting(self, projectors, defect):
-        # each set sums to the identity, so only the projector check can catch it
-        with pytest.raises(ValueError, match=f"'bad'.*{defect}"):
-            MeasurementSetting("bad", projectors)
+
+class TestMeasurementSetting:
+    @pytest.mark.parametrize("label", ["", "Q", "ZZZ", "zx", 3])
+    def test_unknown_label_rejected_naming_it(self, label):
+        with pytest.raises(ValueError, match=re.escape(f"unknown setting label {label!r}")):
+            MeasurementSetting(label)
+
+    def test_equal_labels_are_equal_settings(self):
+        a, b = MeasurementSetting("ZX"), MeasurementSetting("ZX")
+        assert a == b and hash(a) == hash(b)
+        assert a != MeasurementSetting("XZ")
+        assert default_settings(2)[1] == a
+
+    def test_record_hashes_and_compares(self):
+        settings = default_settings(1)
+        a = simulate_counts(MIXED, settings, 100, 4)
+        b = simulate_counts(MIXED, [MeasurementSetting(s.label) for s in settings], 100, 4)
+        assert a == b and hash(a) == hash(b)
 
 
 class TestSimulateCounts:
     def test_deterministic_outcome(self):
-        rec = simulate_counts(KET_H_STATE, [setting_from_label("Z")], 1000, 5)
+        rec = simulate_counts(KET_H_STATE, [MeasurementSetting("Z")], 1000, 5)
         assert rec.counts[0] == (1000, 0)
 
     def test_determinism_contract(self):
@@ -81,7 +93,7 @@ class TestSimulateCounts:
         # mean N/2 and std sqrt(N/4) across seeds for the maximally mixed state
         n = 400
         heads = np.array([
-            simulate_counts(MIXED, [setting_from_label("Z")], n, seed).counts[0][0]
+            simulate_counts(MIXED, [MeasurementSetting("Z")], n, seed).counts[0][0]
             for seed in range(600)
         ])
         assert abs(heads.mean() - n / 2) < 3 * np.sqrt(n / 4) / np.sqrt(600) * 3
@@ -92,6 +104,13 @@ class TestSimulateCounts:
         # Binomial(1000, 1/2) draws are equal with chance 0.018
         runs = [simulate_counts(MIXED, default_settings(1), 1000, seed).counts for seed in range(51)]
         assert sum(runs[s][1] == runs[s + 1][0] for s in range(50)) <= 3
+
+    @pytest.mark.parametrize("counts,shots", [
+        ([[-20, 120]], 100), ([[0.5, 99.5]], 100), ([[True, 99]], 100), ([[0, 0]], 0),
+    ], ids=["negative", "fractional", "boolean", "zero-shots"])
+    def test_invalid_counts_or_shots_rejected(self, counts, shots):
+        with pytest.raises(ValueError, match="must be"):
+            TomographyRecord.from_json({"settings": ["Z"], "counts": counts, "shots": shots, "seed": 0})
 
     def test_counts_sum_checked(self):
         settings = default_settings(1)
@@ -108,7 +127,7 @@ class TestSimulateCounts:
     def test_invalid_probabilities_rejected(self):
         bad = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(ValueError, match="drift"):
-            outcome_probabilities(bad, [setting_from_label("Z")])
+            outcome_probabilities(bad, [MeasurementSetting("Z")])
 
 
 def _trace_form(rho, settings):
@@ -170,10 +189,9 @@ class TestOutcomeProbabilities:
                 with pytest.raises(ValueError, match="drift"):
                     outcome_probabilities(stack, settings_)
 
-    def test_one_incomplete_setting(self, monkeypatch):
+    def test_one_incomplete_setting(self):
         # the forward map needs no informationally complete design; inversion does
-        monkeypatch.setattr(tomography, "_DESIGN_CACHE", {})
-        z = [setting_from_label("Z")]
+        z = [MeasurementSetting("Z")]
         (p,) = outcome_probabilities(MIXED.mat, z)
         assert_allclose(p, [0.5, 0.5], rtol=0, atol=1e-15)
         assert np.array_equal(outcome_probabilities(KET_H_STATE.mat, z)[0], [1.0, 0.0])
@@ -197,19 +215,8 @@ class TestLinearInversion:
             freqs = np.concatenate(outcome_probabilities(rho.mat, settings))
             assert np.abs(linear_inversion(settings, freqs) - rho.mat).max() < 1e-10
 
-    @pytest.mark.parametrize("reordered_first", [False, True])
-    def test_design_cache_tells_reordered_projectors_apart(self, monkeypatch, reordered_first):
-        # same labels, Z outcomes swapped: a different design
-        monkeypatch.setattr(tomography, "_DESIGN_CACHE", {})
-        z, x, y = default_settings(1)
-        designs = [[z, x, y], [MeasurementSetting("Z", z.projectors[::-1]), x, y]]
-        rho = random_density(np.random.default_rng(5), 2)
-        for settings in designs[::-1] if reordered_first else designs:
-            freqs = np.concatenate(outcome_probabilities(rho.mat, settings))
-            assert np.abs(linear_inversion(settings, freqs) - rho.mat).max() < 1e-10
-
     def test_singular_design_rejected(self):
-        settings = [setting_from_label("Z")]
+        settings = [MeasurementSetting("Z")]
         with pytest.raises(ValueError, match="singular"):
             linear_inversion(settings, np.array([0.5, 0.5]))
 
@@ -331,7 +338,4 @@ class TestReconstruct:
     def test_record_json_round_trip_bit_exact(self):
         rec = simulate_counts(make_f(0.65), default_settings(2), 5000, 17)
         back = TomographyRecord.from_json(json.loads(json.dumps(rec.to_json())))
-        assert back.counts == rec.counts
-        assert back.seed == rec.seed
-        assert back.shots_per_setting == rec.shots_per_setting
-        assert [s.label for s in back.settings] == [s.label for s in rec.settings]
+        assert back == rec
