@@ -148,7 +148,8 @@ def classify(rho_se: DensityMatrix, config: ProtocolConfig,
 
 
 def classify_simulated(params: FamilyParams, config: ProtocolConfig) -> ClassificationResult:
-    """Build a family state and classify it through simulated tomography."""
+    """`classify(params.build(), config)` in simulated mode, with the family
+    parameters recorded in each report's `inputs_digest`."""
     if config.mode != "simulated":
         raise ValueError("classify_simulated requires simulated mode")
     return classify(params.build(), config, digest=params.to_json())

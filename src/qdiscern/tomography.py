@@ -105,6 +105,8 @@ class TomographyRecord:
         if not _is_count(self.shots_per_setting) or self.shots_per_setting == 0:
             raise ValueError(f"shots_per_setting must be a positive integer, "
                              f"got {self.shots_per_setting!r}")
+        if not _is_count(self.seed):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if len(self.counts) != len(self.settings):
             raise ValueError(f"need one count tuple per setting, got {len(self.counts)} "
                              f"for {len(self.settings)}")
@@ -115,6 +117,9 @@ class TomographyRecord:
                 raise ValueError(f"counts must be non-negative integers, got {c!r}")
             if sum(c) != self.shots_per_setting:
                 raise ValueError("counts within a setting must sum to the shot budget")
+        # plain Python ints: JSON-serializable, as in ProtocolConfig
+        object.__setattr__(self, "shots_per_setting", int(self.shots_per_setting))
+        object.__setattr__(self, "seed", int(self.seed))
 
     def frequencies(self) -> np.ndarray:
         return np.concatenate([np.asarray(c) for c in self.counts]) / self.shots_per_setting
@@ -177,11 +182,11 @@ def outcome_probabilities(rho_mat: np.ndarray, settings) -> list[np.ndarray]:
     return [p[..., i, :] for i in range(len(settings))]
 
 
-def _multinomial(probs_per_setting, shots: int, n_samples: int | None, seed) -> list:
+def _multinomial(probs_per_setting, shots: int, n_samples: int, seed) -> list:
     """Counts per setting, drawn in turn from one generator on `seed`.
 
-    A probability vector (k,) gives n_samples draws (n_samples, k), or one
-    draw (k,) when n_samples is None; an (n, k) array gives one draw per row.
+    A probability vector (k,) gives n_samples draws (n_samples, k); an
+    (n, k) array gives one draw per row.
     """
     rng = np.random.default_rng(seed)
     return [rng.multinomial(shots, p, size=n_samples if np.ndim(p) == 1 else None)
@@ -189,13 +194,13 @@ def _multinomial(probs_per_setting, shots: int, n_samples: int | None, seed) -> 
 
 
 def simulate_counts(rho, settings, shots: int, seed: int) -> TomographyRecord:
-    """One multinomial draw of `shots` per setting, all from the stream of
-    `seed`. `rho` is a DensityMatrix or a plain (d, d) matrix."""
+    """One experiment of `shots` per setting from the stream of `seed`, drawn
+    as a batch of one of `sample_frequencies`. `rho` is a DensityMatrix or a (d, d) matrix."""
     if shots <= 0:
         raise ValueError("shots must be positive")
     rho_mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    counts = _multinomial(outcome_probabilities(rho_mat, settings), shots, None, seed)
-    return TomographyRecord(tuple(settings), tuple(tuple(c.tolist()) for c in counts), shots, seed)
+    counts = _multinomial(outcome_probabilities(rho_mat, settings), shots, 1, seed)
+    return TomographyRecord(tuple(settings), tuple(tuple(c[0].tolist()) for c in counts), shots, seed)
 
 
 def linear_inversion(settings, frequencies: np.ndarray) -> np.ndarray:
@@ -211,21 +216,16 @@ def linear_inversion(settings, frequencies: np.ndarray) -> np.ndarray:
 
 
 def _truncate_rescale(w: np.ndarray) -> np.ndarray:
-    """Truncate-and-rescale sweep over ascending eigenvalues (..., d);
-    preserves each sum."""
-    out = w.reshape(-1, w.shape[-1]).copy()
-    n, d = out.shape
-    shift = np.zeros(n)
-    done = np.zeros(n, dtype=bool)
-    for i in range(d):
-        rest = d - i
-        neg = (out[:, i] + shift / rest < 0) & ~done
-        shift[neg] += out[neg, i]
-        out[neg, i] = 0.0
-        fin = ~neg & ~done
-        out[fin, i:] += (shift[fin] / rest)[:, None]
-        done |= fin
-    return out.reshape(w.shape)
+    """Truncate-and-rescale over ascending eigenvalues w (..., d) of
+    positive sum, in closed form: with S_i = w_0 + ... + w_{i-1}, the first
+    k with w_k + S_k/(d-k) >= 0 keeps w_k .. w_{d-1}, each raised by
+    S_k/(d-k), and zeroes the rest. Preserves each sum."""
+    d = w.shape[-1]
+    idx = np.arange(d)
+    s = np.concatenate([np.zeros_like(w[..., :1]), np.cumsum(w[..., :-1], axis=-1)], axis=-1)
+    shift = s / (d - idx)
+    k = np.argmax(w + shift >= 0, axis=-1)[..., None]
+    return np.where(idx >= k, w + np.take_along_axis(shift, k, axis=-1), 0.0)
 
 
 def _physical(h: np.ndarray) -> np.ndarray:
@@ -290,18 +290,15 @@ def sample_reconstructions(rho_mat: np.ndarray, settings, shots: int,
     return reconstruct_batch(settings, sample_frequencies(probs, shots, n_samples, seed))
 
 
-def reconstruct(record: TomographyRecord, bootstrap_samples: int = 200,
-                bootstrap_seed: int | None = None) -> ReconstructedState:
+def reconstruct(record: TomographyRecord, bootstrap_samples: int = 200) -> ReconstructedState:
     """Linear inversion + physicality projection, with parametric bootstrap
-    per-entry standard errors (skipped when bootstrap_samples = 0), drawn by
-    default from the first child of SeedSequence(record.seed)."""
+    per-entry standard errors (none at bootstrap_samples = 0) drawn from the
+    first child of SeedSequence(record.seed): the record fixes both alone."""
     estimate = project_to_physical(linear_inversion(record.settings, record.frequencies()))
     std_errors = None
     if bootstrap_samples > 0:
-        if bootstrap_seed is None:
-            bootstrap_seed = np.random.SeedSequence(record.seed, spawn_key=(0,))
         replicas = sample_reconstructions(
-            estimate.mat, record.settings, record.shots_per_setting,
-            bootstrap_samples, bootstrap_seed)
+            estimate.mat, record.settings, record.shots_per_setting, bootstrap_samples,
+            np.random.SeedSequence(record.seed, spawn_key=(0,)))
         std_errors = np.sqrt(replicas.real.var(axis=0) + replicas.imag.var(axis=0))
     return ReconstructedState(estimate, std_errors, bootstrap_samples)

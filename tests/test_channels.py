@@ -33,6 +33,11 @@ class TestProjectorType:
         with pytest.raises(ValueError, match="idempotent"):
             Projector(np.diag([0.5, 0.5]))
 
+    def test_rejects_non_hermitian(self):
+        # idempotent with trace 1, but not Hermitian
+        with pytest.raises(ValueError, match="Hermitian"):
+            Projector(np.array([[1.0, 1.0], [0.0, 0.0]]))
+
 
 class TestSystemEigenprojector:
     def test_cc_diagonal_marginal(self):
@@ -91,6 +96,10 @@ class TestDephase:
             out = dephase(rho, system_eigenprojector(rho))
             assert np.abs(partial_trace(out, 0).mat - partial_trace(rho, 0).mat).max() < 1e-12
             assert np.abs(partial_trace(out, 1).mat - partial_trace(rho, 1).mat).max() < 1e-12
+
+    def test_rejects_a_projector_on_the_whole_state(self):
+        with pytest.raises(ValueError, match="projector dimension"):
+            dephase(make_cc(0.5), Projector(np.diag([1.0, 0.0, 0.0, 0.0])))
 
     def test_dephased_state_has_zero_discord(self):
         rng = np.random.default_rng(23)

@@ -68,6 +68,27 @@ class TestClassify:
         assert code == 2
         assert "lambda" in err
 
+    def test_missing_family_is_exit_2(self, capsys):
+        code, out, err = run(capsys, "classify", "--lambda", "0.64", "--mode", "exact")
+        assert (code, out) == (2, "")
+        assert "--family is required" in err
+
+    def test_config_file_holding_a_list_is_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps([{"family": "cc", "lambda": 0.64}]))
+        code, out, err = run(capsys, "classify", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "JSON object" in err
+
+    def test_integral_float_config_counts_are_read_as_ints(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"family": "cc", "lambda": 0.64, "shots": 1e5, "bootstrap_samples": 2e1}')
+        code, out, _ = run(capsys, "classify", "--config", str(cfg))
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert (config["shots"], config["bootstrap_samples"]) == (100000, 20)
+        assert type(config["shots"]) is int and type(config["bootstrap_samples"]) is int
+
     def test_bad_lambda_is_exit_2(self, capsys):
         code, _, _ = run(capsys, "classify", "--family", "cc", "--lambda", "1.4",
                          "--mode", "exact")
@@ -375,6 +396,12 @@ class TestSweep:
         assert out == ""
         assert "'bogus'" in err
         assert "T, Td, growth, all" in err
+
+    @pytest.mark.parametrize("grid", ["0:1:1", "0:1"], ids=["one-point", "no-count"])
+    def test_malformed_grid_is_exit_2(self, capsys, grid):
+        code, out, err = run(capsys, "sweep", "--lambda-grid", grid, "--theta-grid", "0.1:1.0:3")
+        assert (code, out) == (2, "")
+        assert "start:stop:count" in err and repr(grid) in err
 
     def test_grid_out_of_range(self, capsys):
         code, _, _ = run(capsys, "sweep", "--lambda-grid", "0.5:1.5:3",

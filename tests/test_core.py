@@ -145,6 +145,31 @@ def test_growth_stat_with_identity_measure_is_growth_values(rhos, phi, alpha):
     assert all(e is m for e, m in zip(estimates, marginals))
 
 
+@PROPERTY
+@given(stacks, phis, angles)
+@example(np.array([oracle.fact(0.5), oracle.qc(0.3, 0.4)]), np.pi, np.pi / 8)
+@example(np.array([oracle.qc(0.5, np.pi / 2), oracle.cc(0.64)]), 1.0, 0.3)
+def test_projectors_pinch_and_stage_statistics_are_batches_of_one(rhos, phi, alpha):
+    # each stacked call equals its one-state calls bit for bit, degenerate
+    # marginals (the |H><H| fallback) included
+    v = half_wave_plate(alpha)
+
+    def stage_values(r):
+        projs, degenerate = eigenprojectors(r)
+        dephased = pinch(r, projs)
+        td, _, _ = td_stat(partial_trace(evolve(r, phi), 0),
+                           partial_trace(evolve(dephased, phi), 0), _identity)
+        r_u = rotate(r, v)
+        growth, _ = growth_stat([partial_trace(s, 0) for s in (r, r_u, evolve(r, phi), evolve(r_u, phi))],
+                                _identity)
+        return projs, degenerate, dephased, td, growth
+
+    stacked = stage_values(rhos)
+    for i, r in enumerate(rhos):
+        for whole, one in zip(stacked, stage_values(r)):
+            assert np.array_equal(whole[i], one)
+
+
 # states whose system marginal is degenerate at lambda = 1/2, with their verdict
 NEAR_DEGENERATE = {("CC", 0.0): "CC", ("F", 0.0): "F", ("QC", np.pi / 2): "CC"}
 

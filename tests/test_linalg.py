@@ -152,6 +152,10 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValueError, match="positive"):
             DensityMatrix(np.diag([1.2, -0.2]).astype(complex), (2,))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            DensityMatrix(np.full((2, 3), 1 / 3), (2,))
+
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError, match="dims"):
             DensityMatrix(np.eye(4) / 4, (2, 3))

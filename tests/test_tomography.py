@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -20,6 +20,7 @@ from qdiscern.tomography import (
     reconstruct,
     reconstruct_batch,
     sample_frequencies,
+    sample_reconstructions,
     simulate_counts,
 )
 from random_states import random_density
@@ -123,6 +124,27 @@ class TestSimulateCounts:
     def test_one_count_tuple_per_setting(self, labels, counts):
         with pytest.raises(ValueError, match="one count tuple per setting"):
             TomographyRecord.from_json({"settings": labels, "counts": counts, "shots": 10, "seed": 0})
+
+    @pytest.mark.parametrize("seed", [None, True, 1.5, "3", -1],
+                             ids=["null", "boolean", "fractional", "string", "negative"])
+    def test_invalid_seed_rejected(self, seed):
+        # a record's seed fixes its bootstrap stream, so it must be a valid one
+        with pytest.raises(ValueError, match="seed"):
+            TomographyRecord.from_json({"settings": ["Z"], "counts": [[5, 5]], "shots": 10, "seed": seed})
+
+    def test_numpy_integers_stored_as_python_ints(self):
+        rec = simulate_counts(make_cc(0.64), default_settings(2), np.int64(1000), np.int64(3))
+        assert type(rec.seed) is int and type(rec.shots_per_setting) is int
+        assert json.loads(json.dumps(rec.to_json()))["seed"] == 3
+
+    def test_count_tuple_of_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="counts shape"):
+            TomographyRecord.from_json({"settings": ["Z"], "counts": [[5, 3, 2]], "shots": 10, "seed": 0})
+
+    @pytest.mark.parametrize("shots", [0, -5])
+    def test_non_positive_shots_rejected(self, shots):
+        with pytest.raises(ValueError, match="shots must be positive"):
+            simulate_counts(MIXED, default_settings(1), shots, 0)
 
     def test_invalid_probabilities_rejected(self):
         bad = np.diag([1.5, -0.5]).astype(complex)
@@ -253,6 +275,48 @@ class TestProjectToPhysical:
         with pytest.raises(ValueError, match="trace"):
             project_to_physical(np.eye(2, dtype=complex))
 
+    def test_non_hermitian_rejected(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            project_to_physical(np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex))
+
+
+def _simplex_projection(w):
+    """Euclidean projection of each row of w onto {x >= 0, sum x = sum w}:
+    max(w - tau, 0), with tau found by bisection."""
+    s = w.sum(axis=-1, keepdims=True)
+    lo = np.minimum(w.min(axis=-1, keepdims=True), 0.0) - 1.0
+    hi = w.max(axis=-1, keepdims=True)
+    for _ in range(200):
+        tau = (lo + hi) / 2
+        above = np.maximum(w - tau, 0.0).sum(axis=-1, keepdims=True) > s
+        lo, hi = np.where(above, tau, lo), np.where(above, hi, tau)
+    return np.maximum(w - (lo + hi) / 2, 0.0)
+
+
+@st.composite
+def spectra(draw):
+    """1 to 6 ascending spectra (n, d) of sum 1, d = 2 .. 6, with up to 3
+    entries of each set exactly to zero."""
+    d = draw(st.integers(2, 6))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        w = np.array(draw(st.lists(st.floats(-0.5, 1.0), min_size=d, max_size=d)))
+        w[draw(st.lists(st.integers(0, d - 1), max_size=3, unique=True))] = 0.0
+        assume(w.sum() > 1e-3)
+        rows.append(np.sort(w / w.sum()))
+    return np.array(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spectra())
+@example(np.array([[-0.1, -0.1, 0.5, 0.7]]))
+@example(np.array([[0.0, 0.0, 0.0, 1.0]]))
+def test_truncate_rescale_is_the_simplex_projection(w):
+    out = tomography._truncate_rescale(w)
+    assert_allclose(out, _simplex_projection(w), rtol=0, atol=1e-12)
+    assert_allclose(out.sum(axis=-1), w.sum(axis=-1), rtol=0, atol=1e-12)
+    assert out.min() >= 0.0
+
 
 def _eigh_physical(h):
     """Reference projection: eigh, the truncate-and-rescale sweep, rebuild."""
@@ -310,17 +374,31 @@ class TestReconstruct:
 
     def test_bootstrap_deterministic(self):
         rec = simulate_counts(make_qc(0.7, np.pi / 4), default_settings(2), 10_000, 3)
-        a = reconstruct(rec, bootstrap_samples=50, bootstrap_seed=8)
-        b = reconstruct(rec, bootstrap_samples=50, bootstrap_seed=8)
+        a = reconstruct(rec, bootstrap_samples=50)
+        b = reconstruct(rec, bootstrap_samples=50)
         assert np.array_equal(a.std_errors, b.std_errors)
 
     def test_default_bootstrap_stream_is_first_child_of_record_seed(self):
-        rec = simulate_counts(make_qc(0.7, np.pi / 4), default_settings(2), 10_000, 3)
-        default = reconstruct(rec, bootstrap_samples=50).std_errors
-        child = np.random.SeedSequence(3).spawn(1)[0]
-        assert np.array_equal(default, reconstruct(rec, 50, bootstrap_seed=child).std_errors)
-        # an explicit seed wins, and the record's own stream is not reused
-        assert not np.array_equal(default, reconstruct(rec, 50, bootstrap_seed=3).std_errors)
+        settings_ = default_settings(2)
+        rec = simulate_counts(make_qc(0.7, np.pi / 4), settings_, 10_000, 3)
+        res = reconstruct(rec, bootstrap_samples=50)
+
+        def errors(seed):
+            replicas = sample_reconstructions(res.estimate.mat, settings_, 10_000, 50, seed)
+            return np.sqrt(replicas.real.var(axis=0) + replicas.imag.var(axis=0))
+
+        assert np.array_equal(res.std_errors, errors(np.random.SeedSequence(3, spawn_key=(0,))))
+        # the record's own stream, which drew its counts, is not reused
+        assert not np.array_equal(res.std_errors, errors(np.random.SeedSequence(3)))
+
+    @pytest.mark.parametrize("state,n_qubits", [
+        (random_density(np.random.default_rng(53), 2).mat, 1), (make_qc(0.7, np.pi / 4).mat, 2),
+    ], ids=["qubit", "QC"])
+    def test_record_replays_the_pipeline_draw(self, state, n_qubits):
+        # a record is a batch of one of the pipeline's tomography
+        settings_ = default_settings(n_qubits)
+        est = reconstruct(simulate_counts(state, settings_, 10_000, 7), bootstrap_samples=0).estimate
+        assert np.array_equal(est.mat, sample_reconstructions(state, settings_, 10_000, 1, 7)[0])
 
     def test_error_scaling_with_shots(self):
         # standard statistical scaling: 4x the shots halves the error bars

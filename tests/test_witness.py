@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 import oracle
 from qdiscern import witness
 from qdiscern.channels import _gate_diagonal, eigenprojectors, half_wave_plate
-from qdiscern.linalg import NumericalError, kron, partial_trace, trace_distances, trace_norm
+from qdiscern.linalg import DensityMatrix, NumericalError, kron, partial_trace, trace_distances, trace_norm
 from qdiscern.states import make_cc, make_f, make_qc
 from qdiscern.witness import (
     CORRELATION_WITNESS,
@@ -48,6 +48,10 @@ class TestDiscordT:
         for _ in range(30):
             rho = random_density(rng, 4, (2, 2))
             assert abs(discord_T(rho).value - oracle.discord(rho.mat)) < 1e-9
+
+    def test_rejects_a_one_qubit_state(self):
+        with pytest.raises(ValueError, match="2x2-subsystem"):
+            discord_T(DensityMatrix(np.eye(2) / 2, (2,)))
 
     def test_value_in_unit_interval(self):
         rng = np.random.default_rng(32)
@@ -143,6 +147,10 @@ class TestWitnessGrowth:
         for phi in (0.3, np.pi):
             rho = random_density(rng, 4, (2, 2))
             assert abs(witness_growth(rho, np.eye(2), phi).value) < 1e-12
+
+    def test_rejects_a_unitary_on_the_whole_state(self):
+        with pytest.raises(ValueError, match="unitary dimension"):
+            witness_growth(make_cc(0.64), np.eye(4), np.pi)
 
     def test_factorized_never_grows(self):
         for lam in np.linspace(0, 1, 8):
