@@ -24,13 +24,13 @@ import sys
 import numpy as np
 
 from . import kernels
-from .channels import eigenprojectors, half_wave_plate
+from .channels import eigenprojectors
 from .linalg import NumericalError, is_finite_real
 from .protocol import ProtocolConfig, classify
-from .states import FamilyParams, qc_matrices
-from .witness import growth_values, td_values
+from .states import FamilyParams
+from .witness import td_values
 
-SWEEP_CHUNK_POINTS = 4096  # grid points per batched call in `sweep`: 1 MB of growth's 4x4 states
+SWEEP_CHUNK_POINTS = 4096  # grid points per batched kernel call in `sweep`: bounds their temporaries and each write
 SWEEP_QUANTITIES = ("T", "Td", "growth", "all")
 _CONFIG_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ProtocolConfig)}
 _FAMILY_DEFAULTS = {"family": None, "lambda": None, "theta": None}
@@ -145,7 +145,6 @@ def cmd_sweep(args) -> int:
     phi = opts["phi"]
     _check_finite("phi", phi)
     _check_finite("hwp_angle", opts["hwp_angle"])
-    hwp = half_wave_plate(opts["hwp_angle"])
 
     # chunks of whole lambda rows, about SWEEP_CHUNK_POINTS points (at least one row)
     chunk_rows = max(1, SWEEP_CHUNK_POINTS // len(thetas))
@@ -159,7 +158,7 @@ def cmd_sweep(args) -> int:
         if "Td" in values:
             values["Td"][rows] = kernels.td_qc_grid(lams[rows], thetas, phi)
         if "growth" in values:
-            values["growth"][rows] = growth_values(qc_matrices(lams[rows, None], thetas), hwp, phi)
+            values["growth"][rows] = kernels.growth_qc_grid(lams[rows], thetas, opts["hwp_angle"], phi)
 
     resolved = {
         "command": "sweep", "quantity": quantity, "phi": phi,

@@ -1,5 +1,5 @@
-"""T and Td over the QC state family in closed form, used by parameter
-sweeps with no 4x4 state ever built.
+"""T, Td and growth over the QC state family in closed form, used by
+parameter sweeps with no 4x4 state ever built.
 
 With (b_x, b_z) = ((1 - lam) sin 2theta, lam + (1 - lam) cos 2theta) the Bloch
 vector of the system marginal and |b| = hypot(b_x, b_z):
@@ -15,8 +15,25 @@ T = lam. b_z is evaluated as cos^2 theta - (1 - 2 lam) sin^2 theta, which
 does not cancel near the degenerate corner (lam, theta) = (1/2, pi/2). Where
 |b| is below `DEGENERACY_GAP` the projector is |H><H|, as in
 ``channels.eigenprojectors``; then c_0 = 0 and c_1 = b_x / 2, and
-T = Td = |b_x| / 2 at every phi. The tests hold T equal to
-``witness.discord_values`` and Td to ``witness.td_values`` on
+T = Td = |b_x| / 2 at every phi.
+
+Growth needs no eigenbasis. The environment blocks rho_0 = lam |H><H| and
+rho_1 = (1 - lam) |theta><theta| are real, and the half-wave plate
+V = [[c, s], [s, -c]], c = cos 2alpha and s = sin 2alpha, is a real
+involution that maps |beta> to |2alpha - beta>. So with u = sin(2theta - 2alpha)
+the blocks Y_e = V rho_e V - rho_e are real and traceless:
+
+  Y_0 = lam s [[-s, c], [c, s]],   Y_1 = (1 - lam) u [[s, -c], [-c, -s]].
+
+Their evolved distance (``witness._evolved_distance``) takes
+m00 = s ((1 - lam) u - lam s), x_0 = lam c s and x_1 = -(1 - lam) c u, and
+
+  growth = sqrt(m00^2 + |x_0 + e^{-i phi} x_1|^2) - sqrt(m00^2 + (x_0 + x_1)^2).
+
+Both terms are evaluated in this form, in real arithmetic. The phi = 0 term
+is not shortened to |m00| / |s|, which divides by s = 0 at alpha = 0 mod pi/2.
+The tests hold T equal to ``witness.discord_values``, Td to
+``witness.td_values`` and growth to ``witness.growth_values`` on
 ``states.qc_matrices``.
 """
 
@@ -66,3 +83,21 @@ def td_qc_grid(lams, thetas, phi: float) -> np.ndarray:
     deg = np.hypot(bx, bz) < DEGENERACY_GAP
     td = abs(np.sin(0.5 * float(phi))) * lams * np.abs(bx * bz) / np.where(deg, 1.0, r2)
     return check_finite(np.where(deg, 0.5 * np.abs(bx), td), "witness Td")
+
+
+def growth_qc_grid(lams, thetas, hwp_angle: float, phi: float) -> np.ndarray:
+    """Growth at plate angle hwp_angle and phase phi on the outer grid,
+    shape (len(lams), len(thetas))."""
+    lams = np.asarray(lams, dtype=float)[:, None]
+    thetas = np.asarray(thetas, dtype=float)
+    alpha, phi = float(hwp_angle), float(phi)
+    c, s = np.cos(2 * alpha), np.sin(2 * alpha)
+    u = np.sin(2.0 * (thetas - alpha))
+    m00 = s * ((1.0 - lams) * u - lams * s)
+    x0 = lams * (c * s)
+    x1 = -(1.0 - lams) * (c * u)
+    m2 = m00 * m00
+    m10_re, m10_im = x0 + np.cos(phi) * x1, -np.sin(phi) * x1  # x0 + e^{-i phi} x1
+    m10_zero = x0 + x1  # the same at phi = 0
+    at_phi = np.sqrt(m2 + m10_re * m10_re + m10_im * m10_im)
+    return check_finite(at_phi - np.sqrt(m2 + m10_zero * m10_zero), "growth witness")

@@ -199,6 +199,10 @@ def simulate_counts(rho, settings, shots: int, seed: int) -> TomographyRecord:
     if shots <= 0:
         raise ValueError("shots must be positive")
     rho_mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    for setting in settings:
+        if 2 ** len(setting.label) != rho_mat.shape[-1]:
+            raise ValueError(f"setting {setting.label!r} measures {len(setting.label)} qubit(s), "
+                             f"but the state has dimension {rho_mat.shape[-1]}")
     counts = _multinomial(outcome_probabilities(rho_mat, settings), shots, 1, seed)
     return TomographyRecord(tuple(settings), tuple(tuple(c[0].tolist()) for c in counts), shots, seed)
 
@@ -294,6 +298,8 @@ def reconstruct(record: TomographyRecord, bootstrap_samples: int = 200) -> Recon
     """Linear inversion + physicality projection, with parametric bootstrap
     per-entry standard errors (none at bootstrap_samples = 0) drawn from the
     first child of SeedSequence(record.seed): the record fixes both alone."""
+    if not _is_count(bootstrap_samples):
+        raise ValueError(f"bootstrap_samples must be a non-negative integer, got {bootstrap_samples!r}")
     estimate = project_to_physical(linear_inversion(record.settings, record.frequencies()))
     std_errors = None
     if bootstrap_samples > 0:

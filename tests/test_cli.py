@@ -18,7 +18,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracle
-from qdiscern import cli
+from qdiscern import channels, cli, kernels, states, witness
 from qdiscern.channels import eigenprojectors, half_wave_plate
 from qdiscern.cli import SWEEP_CHUNK_POINTS, SWEEP_QUANTITIES, main
 from qdiscern.states import qc_matrices
@@ -27,6 +27,18 @@ from qdiscern.witness import discord_values, growth_values
 PI = repr(float(np.pi))
 SWEEP_GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "sweep_sha256.json"
 SWEEP_GOLDEN = json.loads(SWEEP_GOLDEN_PATH.read_text())
+
+
+def refuse_states(monkeypatch):
+    """Make every call that builds a state, an eigenprojector or a plate matrix
+    fail, through its own module and through a binding in `cli`."""
+    def refuse(*args):
+        raise AssertionError("a sweep builds no state")
+
+    for module, name in [(states, "qc_matrices"), (channels, "eigenprojectors"), (channels, "half_wave_plate"),
+                         (witness, "growth_values"), (witness, "discord_values")]:
+        monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(cli, name, refuse, raising=False)
 
 
 def run(capsys, *argv):
@@ -294,25 +306,19 @@ class TestSweep:
         argv = ["sweep", "--quantity", "T", *SWEEP_GOLDEN["grids"]["two-chunks-and-a-partial"]]
         code, want, _ = run(capsys, *argv)
         assert code == 0
-
-        def refuse(*args):
-            raise AssertionError("a T sweep builds no state")
-
-        monkeypatch.setattr(cli, "qc_matrices", refuse)
-        monkeypatch.setattr(cli, "eigenprojectors", refuse)
+        refuse_states(monkeypatch)
         assert run(capsys, *argv) == (0, want, "")
 
-    def test_all_sweep_builds_states_once_per_chunk_for_growth(self, capsys, monkeypatch):
-        shapes = []
-
-        def refuse(*args):
-            raise AssertionError("a sweep takes no eigenprojectors")
-
-        monkeypatch.setattr(cli, "qc_matrices", lambda lam, theta: shapes.append(lam.shape) or qc_matrices(lam, theta))
-        monkeypatch.setattr(cli, "eigenprojectors", refuse)
-        code, _, _ = run(capsys, "sweep", "--quantity", "all", *SWEEP_GOLDEN["grids"]["two-chunks-and-a-partial"])
+    def test_all_sweep_builds_no_state(self, capsys, monkeypatch):
+        argv = ["sweep", "--quantity", "all", *SWEEP_GOLDEN["grids"]["two-chunks-and-a-partial"]]
+        code, want, _ = run(capsys, *argv)
         assert code == 0
-        assert shapes == [(64, 1), (64, 1), (5, 1)]
+        refuse_states(monkeypatch)
+        rows = []
+        growth = kernels.growth_qc_grid
+        monkeypatch.setattr(kernels, "growth_qc_grid", lambda lams, *a: rows.append(len(lams)) or growth(lams, *a))
+        assert run(capsys, *argv) == (0, want, "")
+        assert rows == [64, 64, 5]
 
     def test_byte_identical_output(self, capsys):
         argv = ["sweep", "--lambda-grid", "0.1:0.9:4", "--theta-grid", "0.1:1.4:4"]
@@ -372,12 +378,14 @@ class TestSweep:
     def test_failure_in_the_last_chunk_writes_nothing(self, capsys, tmp_path, monkeypatch, to_file):
         chunk_sizes = []
 
-        def growth_nan_in_last_chunk(rho, v, phi):
-            chunk_sizes.append(len(rho))
-            # a NaN phase makes the growth values NaN, which their finite check rejects
-            return growth_values(rho, v, float("nan") if len(chunk_sizes) == 3 else phi)
+        growth = kernels.growth_qc_grid
 
-        monkeypatch.setattr(cli, "growth_values", growth_nan_in_last_chunk)
+        def growth_nan_in_last_chunk(lams, thetas, hwp_angle, phi):
+            chunk_sizes.append(len(lams))
+            # a NaN phase makes the growth values NaN, which their finite check rejects
+            return growth(lams, thetas, hwp_angle, float("nan") if len(chunk_sizes) == 3 else phi)
+
+        monkeypatch.setattr(kernels, "growth_qc_grid", growth_nan_in_last_chunk)
         path = tmp_path / "sweep.csv"
         argv = ["sweep", "--lambda-grid", "0:1:133", "--theta-grid", "0:1.5707963267948966:64"]
         code, out, err = run(capsys, *argv, *(["--output", str(path)] if to_file else []))

@@ -4,10 +4,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qdiscern import kernels
-from qdiscern.channels import eigenprojectors
+from qdiscern.channels import eigenprojectors, half_wave_plate
 from qdiscern.linalg import NumericalError
 from qdiscern.states import make_qc, qc_matrices
-from qdiscern.witness import discord_values, witness_Td, zero_line_lambda
+from qdiscern.witness import discord_values, growth_values, witness_Td, zero_line_lambda
 
 
 def general_td(lam, theta, phi):
@@ -138,3 +138,72 @@ class TestTKernel:
         monkeypatch.setattr(kernels, "CROSS_CHECK_TOL", -1.0)
         with pytest.raises(NumericalError, match="discord forms disagree"):
             kernels.t_qc_grid([0.3], [0.4])
+
+
+GROWTH_ALPHAS = [np.pi / 8, 0.0, np.pi / 4, -1.2, 2.0]
+GROWTH_PHIS = [np.pi, 0.7, -3.0, 9.0]
+
+
+def exact_growth(lam, theta, alpha, phi):
+    """Growth of QC(lam, theta) at plate angle alpha and phase phi, from its
+    definition as in tests/oracle.growth: trace distances of the system
+    marginals of the 4x4 states, in 50-digit arithmetic at the float inputs."""
+    with mpmath.workdps(50):
+        lam, theta, alpha, phi = (mpmath.mpf(float(x)) for x in (lam, theta, alpha, phi))
+        ket = [mpmath.cos(theta), mpmath.sin(theta)]
+        rho = mpmath.zeros(4)  # index 2 s + e, system first
+        rho[0, 0] = lam
+        for a in range(2):
+            for b in range(2):
+                rho[2 * a + 1, 2 * b + 1] = (1 - lam) * ket[a] * ket[b]
+        c, s = mpmath.cos(2 * alpha), mpmath.sin(2 * alpha)
+        plate = mpmath.matrix([[c, 0, s, 0], [0, c, 0, s], [s, 0, -c, 0], [0, s, 0, -c]])  # V x 1
+        rotated = plate * rho * plate
+
+        def marginal(r):
+            return mpmath.matrix([[r[2 * a, 2 * b] + r[2 * a + 1, 2 * b + 1] for b in range(2)]
+                                  for a in range(2)])
+
+        def distance(angle):
+            gate = mpmath.diag([1, mpmath.expj(angle), 1, 1])
+            diff = marginal(gate * rotated * gate.H) - marginal(gate * rho * gate.H)
+            return sum(abs(w) for w in mpmath.eighe(diff, eigvals_only=True)) / 2
+
+        return float(distance(phi) - distance(0))
+
+
+class TestGrowthKernel:
+    @pytest.mark.parametrize("phi", GROWTH_PHIS)
+    @pytest.mark.parametrize("alpha", GROWTH_ALPHAS)
+    def test_random_grid_against_the_general_path(self, alpha, phi):
+        rng = np.random.default_rng(47)
+        lams = np.concatenate([[0.0, 1.0], rng.uniform(0, 1, 9)])
+        thetas = np.concatenate([[0.0, np.pi / 2], rng.uniform(0, np.pi / 2, 11)])
+        want = growth_values(qc_matrices(lams[:, None], thetas), half_wave_plate(alpha), phi)
+        assert_allclose(kernels.growth_qc_grid(lams, thetas, alpha, phi), want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("alpha", GROWTH_ALPHAS)
+    def test_within_an_ulp_or_two_of_the_definition(self, alpha):
+        lams = np.array([0.0, 0.64, 0.5, 1.0 / 3, 1.0])
+        thetas = np.array([0.0, 0.3, np.pi / 4, 1.2, np.pi / 2])
+        for phi in GROWTH_PHIS:
+            got = kernels.growth_qc_grid(lams, thetas, alpha, phi)
+            want = [[exact_growth(lam, theta, alpha, phi) for theta in thetas] for lam in lams]
+            assert_allclose(got, want, rtol=0, atol=1e-15, err_msg=f"phi = {phi}")
+
+    def test_row_chunks_concatenate_to_the_full_grid(self):
+        lams = np.linspace(0, 1, 37)
+        thetas = np.linspace(0, np.pi / 2, 23)
+        full = kernels.growth_qc_grid(lams, thetas, np.pi / 8, 2.5)
+        chunks = [kernels.growth_qc_grid(lams[i:i + 5], thetas, np.pi / 8, 2.5) for i in range(0, len(lams), 5)]
+        assert np.array_equal(np.concatenate(chunks), full)
+
+    @pytest.mark.parametrize("lams, thetas, alpha, phi", [
+        ([0.1, 0.9], [0.1, 1.4], np.pi / 8, float("nan")),
+        ([0.1, float("nan")], [0.1, 1.4], np.pi / 8, np.pi),
+        ([0.1, 0.9], [float("nan"), 1.4], np.pi / 8, np.pi),
+        ([0.1, 0.9], [0.1, 1.4], float("nan"), np.pi),
+    ], ids=["phase", "lambda", "theta", "plate-angle"])
+    def test_non_finite_input_rejected(self, lams, thetas, alpha, phi):
+        with pytest.raises(NumericalError, match="growth witness is not finite"):
+            kernels.growth_qc_grid(lams, thetas, alpha, phi)

@@ -146,6 +146,14 @@ class TestSimulateCounts:
         with pytest.raises(ValueError, match="shots must be positive"):
             simulate_counts(MIXED, default_settings(1), shots, 0)
 
+    @pytest.mark.parametrize("state,n_qubits,message", [
+        (make_cc(0.64), 1, "'Z' measures 1 qubit.*dimension 4"),
+        (np.eye(2, dtype=complex) / 2, 2, "'ZZ' measures 2 qubit.*dimension 2"),
+    ], ids=["two-qubit-state", "one-qubit-state"])
+    def test_settings_for_another_qubit_count_rejected(self, state, n_qubits, message):
+        with pytest.raises(ValueError, match=message):
+            simulate_counts(state, default_settings(n_qubits), 100, 3)
+
     def test_invalid_probabilities_rejected(self):
         bad = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(ValueError, match="drift"):
@@ -399,6 +407,13 @@ class TestReconstruct:
         settings_ = default_settings(n_qubits)
         est = reconstruct(simulate_counts(state, settings_, 10_000, 7), bootstrap_samples=0).estimate
         assert np.array_equal(est.mat, sample_reconstructions(state, settings_, 10_000, 1, 7)[0])
+
+    @pytest.mark.parametrize("samples", [-5, True, 2.5, "3", None],
+                             ids=["negative", "boolean", "fractional", "string", "null"])
+    def test_invalid_bootstrap_samples_rejected(self, samples):
+        rec = simulate_counts(make_cc(0.64), default_settings(2), 1000, 3)
+        with pytest.raises(ValueError, match="bootstrap_samples must be a non-negative integer"):
+            reconstruct(rec, samples)
 
     def test_error_scaling_with_shots(self):
         # standard statistical scaling: 4x the shots halves the error bars
