@@ -24,7 +24,6 @@ import sys
 import numpy as np
 
 from . import kernels
-from .channels import eigenprojectors
 from .linalg import NumericalError, is_finite_real
 from .protocol import ProtocolConfig, classify
 from .states import FamilyParams
@@ -183,7 +182,7 @@ def cmd_phase_scan(args) -> int:
     params = _family_params(_resolve(args, _FAMILY_DEFAULTS))
     phis = _parse_phis(args.phis)
     rho = params.build().mat
-    values = td_values(rho, np.array(phis), eigenprojectors(rho)[0])
+    values = td_values(rho, np.array(phis))
     resolved = {"command": "phase-scan", "family_params": params.to_json(), "phis": list(phis)}
     lines = ["# " + json.dumps(resolved, sort_keys=True), "phi,value"]
     lines += [f"{_fmt(phi)},{_fmt(v)}" for phi, v in zip(phis, values)]

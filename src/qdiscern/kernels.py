@@ -25,16 +25,21 @@ the blocks Y_e = V rho_e V - rho_e are real and traceless:
 
   Y_0 = lam s [[-s, c], [c, s]],   Y_1 = (1 - lam) u [[s, -c], [-c, -s]].
 
-Their evolved distance (``witness._evolved_distance``) takes
-m00 = s ((1 - lam) u - lam s), x_0 = lam c s and x_1 = -(1 - lam) c u, and
+Their evolved distance, 1/2 |w_0 + R_phi w_1| over their Bloch vectors w_e as
+in the ``witness`` docstring, takes m00 = s ((1 - lam) u - lam s),
+x_0 = lam c s and x_1 = -(1 - lam) c u (half the z component of w_0 + w_1
+and half the x components of w_0 and w_1; the y components are 0), and
 
   growth = sqrt(m00^2 + |x_0 + e^{-i phi} x_1|^2) - sqrt(m00^2 + (x_0 + x_1)^2).
 
 Both terms are evaluated in this form, in real arithmetic. The phi = 0 term
 is not shortened to |m00| / |s|, which divides by s = 0 at alpha = 0 mod pi/2.
-The tests hold T equal to ``witness.discord_values``, Td to
-``witness.td_values`` and growth to ``witness.growth_values`` on
-``states.qc_matrices``.
+The tests hold T equal to ``witness.discord_values`` and growth to
+``witness.growth_values`` on ``states.qc_matrices``. They hold Td equal to
+``witness.td_values`` within 1e-15 where |b| >= 0.1, and within Td's
+forward-error bound ``witness.td_error_bound`` everywhere: the kernel
+evaluates Td at (lam, theta), the witness at the rounded entries of the
+state, and beside the degenerate corner Td is ill-conditioned.
 """
 
 from __future__ import annotations

@@ -69,7 +69,7 @@ class DensityMatrix:
         n = mat.shape[0]
         if mat.ndim != 2 or mat.shape[1] != n:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
-        if int(np.prod(self.dims)) != n:
+        if math.prod(self.dims) != n:
             raise ValueError(f"dims {self.dims} incompatible with dimension {n}")
         defect = hermiticity_defect(mat)
         if defect > HERM_TOL:

@@ -11,7 +11,38 @@ correlated states never grow (the README's sign rule).
 Both modes run this cascade through one function, `_cascade`; a mode only
 says how it measures each stage's value, threshold and error bar. Both
 stages run once, at phi. thresholds_used["stage2_threshold"] is None unless
-stage 2 ran. Exact mode compares both stages with exact_epsilon.
+stage 2 ran.
+
+Exact mode computes both witnesses from the Bloch vectors of the state's two
+environment blocks (`witness.block_bloch`) and runs no eigendecomposition:
+the dephasing axis is n = b / |b| for the Bloch vector b of the system
+marginal, and a marginal with |b| < DEGENERACY_GAP is degenerate and takes
+n = z. Stage 2 fires when growth > exact_epsilon; growth needs no n. Stage 1
+fires only when Td > exact_epsilon + beta, where beta is Td's forward-error
+bound, so that a QC verdict holds for every state within three units of
+roundoff of the input's entries as well. thresholds_used["stage1_threshold"]
+reports exact_epsilon + beta. The bound matters beside a degenerate
+marginal, where Td is ill-conditioned: the float state
+QC(1/2 + 1e-9, fl(pi/2)) carries a genuine Td of 1.5e-8, all of it from the
+b_x = 6e-17 that sin(2 fl(pi/2)) leaves, and setting its entries of that
+size to 0 takes Td to 0.
+
+beta, to first order in u = 2^-53, for the states whose entries each lie
+within k u of the input's (real and imaginary parts apart). By positivity
+|r_e| <= tr rho_e, so |r_0| + |r_1| <= 1, and |b| <= 1.
+* Input: r_e moves by at most 2 sqrt(3) k u and b by 4 sqrt(3) k u, so n
+  by 4 sqrt(3) k u / |b|. y_e = r_e - (r_e . n) n moves by at most
+  |dr_e| + |r_e| |dn|, and Td = 1/2 |y_0 + R_phi y_1| by half the sum over
+  e: 2 sqrt(3) k u (1 + 1 / |b|).
+* Evaluation: the computed b is within u (1 + |b|) of the exact one and
+  the normalization adds 3.5 u, so n is within u / |b| + 4.5 u; the dot
+  products and differences of y_e add 6 u |r_e|, and the rotation, the sum
+  of squares and the square root 3.75 u; in all 0.5 u / |b| + 9 u.
+So beta <= (6.93 k + 9.5) u / |b|, which is 30.3 u / |b| at k = 3, and
+beta = 32 u / |b| (`witness.TD_ERROR_ULPS`). On the degenerate branch n = z
+is exact, the 1 / |b| terms drop, and beta = 32 u. Measured against a
+50-digit evaluation on 3000 random states with |b| down to 1e-11, the
+error was at most 0.14 u / |b|.
 
 In simulated mode every state that the experiment would measure is
 tomographed from multinomial counts. Stage 1 fires when the measured
@@ -48,10 +79,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .channels import eigenprojectors, evolve, half_wave_plate, pinch, rotate
-from .linalg import DensityMatrix, check_finite, is_finite_real, partial_trace, trace_distances, two_qubit
+from .linalg import (DEGENERACY_GAP, DensityMatrix, check_finite, is_finite_real, partial_trace,
+                     trace_distances, two_qubit)
 from .states import FamilyParams
 from .tomography import default_settings, sample_reconstructions
-from .witness import CORRELATION_WITNESS, DISCORD_WITNESS, WitnessReport, growth_values, td_values
+from .witness import (CORRELATION_WITNESS, DISCORD_WITNESS, WitnessReport, axis_projector, block_bloch,
+                      bloch_rotation, growth_bloch, marginal_axis, td_bloch, td_error_bound)
 
 VERDICT_QC = "QC"
 VERDICT_CC = "CC"
@@ -162,9 +195,11 @@ def _marginals(**states) -> dict:
 
 def _cascade(config: ProtocolConfig, digest: dict, degenerate: bool, states: dict,
              stage1, stage2) -> ClassificationResult:
-    """The decision policy of both modes. `stage1()` and `stage2()` each
-    return (value, threshold, sigma, emitted states); `states` holds the
-    states emitted before stage 1 and collects the rest."""
+    """The decision policy of both modes: a stage fires when its value
+    exceeds its threshold. `stage1()` and `stage2()` each return (value,
+    threshold, sigma, emitted states); exact stage 1's threshold is
+    exact_epsilon plus Td's forward-error bound. `states` holds the states
+    emitted before stage 1 and collects the rest."""
     digest = {**digest, "phi": config.phi, "hwp_angle": config.hwp_angle}
     value, threshold, sigma, stage1_states = stage1()
     td_report = WitnessReport(value, DISCORD_WITNESS, digest, degenerate, sigma=sigma)
@@ -185,22 +220,24 @@ def _cascade(config: ProtocolConfig, digest: dict, degenerate: bool, states: dic
 
 def _classify_exact(rho: DensityMatrix, config: ProtocolConfig, digest: dict) -> ClassificationResult:
     r = two_qubit(rho)
-    proj, degenerate = eigenprojectors(r)
+    bloch = block_bloch(r)
+    n, norm = marginal_axis(r)
     phi, eps, emit = config.phi, config.exact_epsilon, config.emit_states
 
     def stage1():
-        states = _marginals(rho_s_t=evolve(r, phi), rho_s_d_t=evolve(pinch(r, proj), phi)) if emit else {}
-        return float(td_values(r, phi, proj)), eps, None, states
+        states = (_marginals(rho_s_t=evolve(r, phi), rho_s_d_t=evolve(pinch(r, axis_projector(n)), phi))
+                  if emit else {})
+        return float(td_bloch(bloch, n, phi)), eps + float(td_error_bound(norm)), None, states
 
     def stage2():
         v = half_wave_plate(config.hwp_angle)
-        growth = float(growth_values(r, v, phi))
+        growth = float(growth_bloch(bloch, bloch_rotation(v), phi))
         if not emit:
             return growth, eps, None, {}
         rho_u = rotate(r, v)
         return growth, eps, None, _marginals(rho_s_u_0=rho_u, rho_s_u_t=evolve(rho_u, phi))
 
-    return _cascade(config, digest, bool(degenerate), _marginals(rho_s_0=r) if emit else {},
+    return _cascade(config, digest, bool(norm < DEGENERACY_GAP), _marginals(rho_s_0=r) if emit else {},
                     stage1, stage2)
 
 

@@ -107,6 +107,8 @@ class TomographyRecord:
                              f"got {self.shots_per_setting!r}")
         if not _is_count(self.seed):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not self.settings:
+            raise ValueError("no measurement setting was given")
         if len(self.counts) != len(self.settings):
             raise ValueError(f"need one count tuple per setting, got {len(self.counts)} "
                              f"for {len(self.settings)}")
@@ -198,6 +200,8 @@ def simulate_counts(rho, settings, shots: int, seed: int) -> TomographyRecord:
     as a batch of one of `sample_frequencies`. `rho` is a DensityMatrix or a (d, d) matrix."""
     if shots <= 0:
         raise ValueError("shots must be positive")
+    if not settings:
+        raise ValueError("no measurement setting was given")
     rho_mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
     for setting in settings:
         if 2 ** len(setting.label) != rho_mat.shape[-1]:

@@ -9,26 +9,38 @@
   between a state and its locally rotated twin (a classical-correlation
   witness).
 
-The array functions work on 2x2 system blocks; only T's cross-check
-lifts to 4x4. With rho_e = <e|rho|e> the environment-diagonal blocks of rho,
-Pi = |pi><pi|, 1 - Pi = |pi_perp><pi_perp| and U(phi) = sum_e D_e x |e><e|
-where D_0 = 1 and D_1 = diag(e^{i phi}, 1):
+With rho_e = <e|rho|e> the environment-diagonal blocks of rho and
+U(phi) = sum_e D_e x |e><e|, where D_0 = 1 and D_1 = diag(e^{i phi}, 1),
+tr_E[U X U^dagger] = sum_e D_e X_e D_e^dagger for any X, since the partial
+trace keeps only the blocks X_e and U is block diagonal.
 
-* tr_E[U X U^dagger] = sum_e D_e X_e D_e^dagger for any X, since the
-  partial trace keeps only the blocks X_e and U is block diagonal;
-* for traceless Hermitian blocks x_e, M = sum_e D_e x_e D_e^dagger is
-  traceless Hermitian and D_1 only rephases its off-diagonal entry, so
-  1/2 ||M||_1 = sqrt(M_00^2 + |M_10|^2) with M_00 = Re(x_0,00 + x_1,00) and
-  M_10 = x_0,10 + e^{-i phi} x_1,10 (`_evolved_distance`); both witnesses
-  are this one distance;
-* rho - pinch(rho) = |pi><pi_perp| x C + h.c. with the 2x2 environment
-  operator C_ab = sum_{s,s'} conj(pi_s) rho[s a, s' b] pi_perp_{s'}; its
-  eigenvalues are +-sigma_i(C), so T = sigma_1 + sigma_2
-  = sqrt(||C||_F^2 + 2 |det C|);
-* Td is the distance for the blocks of rho - pinch(rho),
-  x_e = c_e |pi><pi_perp| + h.c. with c_e = C_ee;
-* growth is the distance for Y_e = V rho_e V^dagger - rho_e at phi minus the
-  one at phi = 0, since sum_e Y_e = V rho_S V^dagger - rho_S.
+Td and growth are one real quantity of the blocks' Bloch vectors, with no
+eigendecomposition. Write a traceless Hermitian block as x_e = w_e . sigma / 2.
+D_1 only rephases the entry [1, 0] of x_1, which rotates w_1 about z by
+R_phi, so sum_e D_e x_e D_e^dagger = (w_0 + R_phi w_1) . sigma / 2 and its
+trace distance is 1/2 |w_0 + R_phi w_1| (`_evolved_distance`). With r_e the
+Bloch vector of rho_e (`block_bloch`, Pauli coefficients, so
+rho_e = (tr rho_e + r_e . sigma) / 2):
+
+* Td: dephasing along the unit axis n of the system marginal's Bloch
+  vector b = r_0 + r_1 keeps (r_e . n) n, so the blocks of rho - pinch(rho)
+  have w_e = y_e = r_e - (r_e . n) n. n = b / |b| comes from the marginal's
+  eigenvector of the larger eigenvalue; the eigenvalue gap is |b|, and
+  below DEGENERACY_GAP n = z, the axis of |H><H| (`marginal_axis`);
+* growth: V rho_e V^dagger - rho_e has w_e = O_V r_e - r_e, where
+  O_ij = 1/2 tr(sigma_i V sigma_j V^dagger) is V's Bloch rotation
+  (`bloch_rotation`), and growth is 1/2 |w_0 + R_phi w_1| - 1/2 |w_0 + w_1|,
+  since sum_e (V rho_e V^dagger - rho_e) = V rho_S V^dagger - rho_S.
+
+The Bloch arrays are component-major, r (2, 3, ...), n (3, ...) and
+O (3, 3, ...), so that each component of a batch of one is a scalar.
+
+T needs the blocks off the environment diagonal as well. With Pi = |pi><pi|
+and 1 - Pi = |pi_perp><pi_perp| from the eigenprojector,
+rho - pinch(rho) = |pi><pi_perp| x C + h.c. with the 2x2 environment
+operator C_ab = sum_{s,s'} conj(pi_s) rho[s a, s' b] pi_perp_{s'}; its
+eigenvalues are +-sigma_i(C), so T = sigma_1 + sigma_2
+= sqrt(||C||_F^2 + 2 |det C|).
 """
 
 from __future__ import annotations
@@ -40,18 +52,26 @@ import numpy as np
 from .channels import eigenprojectors, lift, system_unitary
 from .linalg import (
     CROSS_CHECK_TOL,
+    DEGENERACY_GAP,
     RANGE_SLACK,
     DensityMatrix,
     NumericalError,
     check_finite,
-    kron,
-    partial_trace,  # unused here; perfbench's tracer self-test checks this binding
+    partial_trace,
     two_qubit,
 )
 
 DISCORD_QUANTIFIER = "discord_quantifier"
 DISCORD_WITNESS = "discord_witness"
 CORRELATION_WITNESS = "correlation_witness"
+
+# Td's forward-error bound is TD_ERROR_ULPS units of roundoff over |b| (derived
+# in the `protocol` docstring)
+TD_ERROR_ULPS = 32.0
+_UNIT_ROUNDOFF = 2.0 ** -53
+# sigma_x, sigma_y, sigma_z
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_PAULI.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -77,31 +97,97 @@ class WitnessReport:
         }
 
 
-def _blocks(rho: np.ndarray) -> np.ndarray:
-    """The environment-diagonal system blocks rho_e (..., 2, 2, 2), e on axis -3."""
-    t = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)
-    return np.stack([t[..., :, 0, :, 0], t[..., :, 1, :, 1]], axis=-3)
+def _components(a: np.ndarray) -> np.ndarray:
+    """a with its last axis moved first, so that a[i] is component i over the
+    leading axes; for a batch of one each component is a scalar."""
+    return a.transpose(-1, *range(a.ndim - 1))
 
 
-def _sandwich(sup: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a x b^dagger for broadcast (..., 2, 2) operators x, as one contraction
-    of the row-major vec(x) with the superoperator sup = kron(a, conj(b))."""
-    out = np.einsum("...ij,...j->...i", sup, x.reshape(*x.shape[:-2], 4))
-    return out.reshape(*out.shape[:-1], 2, 2)
+def block_bloch(rho: np.ndarray) -> np.ndarray:
+    """Bloch vectors r (2, 3, ...) of the environment-diagonal blocks
+    rho_e = <e|rho|e> of stacked states (..., 4, 4), component-major: r[e] is
+    (2 Re rho_e[1, 0], 2 Im rho_e[1, 0], rho_e[0, 0] - rho_e[1, 1]), the
+    Pauli coefficients of rho_e, over the leading axes of rho."""
+    f = _components(rho.reshape(*rho.shape[:-2], 16))  # f[4 i + j] = rho[i, j]
+    low0, low1 = f[8], f[13]  # rho_e[1, 0] = rho[2 + e, e]
+    return np.array([[2.0 * low0.real, 2.0 * low0.imag, f[0].real - f[10].real],
+                     [2.0 * low1.real, 2.0 * low1.imag, f[5].real - f[15].real]])
 
 
-def _evolved_distance(x: np.ndarray, phi) -> np.ndarray:
-    """1/2 ||sum_e D_e x_e D_e^dagger||_1 for traceless Hermitian
-    environment-diagonal blocks x (..., 2, 2, 2), in real arithmetic so that
-    a stacked call equals its one-row calls bit for bit."""
+def marginal_axis(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unit Bloch axis n = b / |b| (3, ...) of the leading eigenvector of
+    each system marginal of stacked states (..., 4, 4), and |b| (...), that
+    marginal's eigenvalue gap. Where |b| < DEGENERACY_GAP the marginal is
+    degenerate and n = z, the axis of |H><H|, by convention."""
+    m00, _, m10, m11 = _components(partial_trace(rho, 0).reshape(*rho.shape[:-2], 4))
+    bx, by, bz = 2.0 * m10.real, 2.0 * m10.imag, m00.real - m11.real
+    norm = np.sqrt(bx * bx + by * by + bz * bz)
+    degenerate = norm < DEGENERACY_GAP
+    den = np.where(degenerate, np.inf, norm)  # b / inf = 0 on the degenerate branch
+    return np.array([bx / den, by / den, bz / den + degenerate]), norm
+
+
+def axis_projector(n: np.ndarray) -> np.ndarray:
+    """Pi = (1 + n . sigma) / 2 (..., 2, 2), the projector onto the pure
+    state of unit Bloch vector n (3, ...); |H><H| at n = z."""
+    x, y, z = n
+    p = np.empty(np.shape(x) + (2, 2), dtype=complex)
+    p[..., 0, 0] = 0.5 * (1.0 + z)
+    p[..., 1, 1] = 0.5 * (1.0 - z)
+    p[..., 1, 0] = 0.5 * (x + 1j * y)
+    p[..., 0, 1] = 0.5 * (x - 1j * y)
+    return p
+
+
+def bloch_rotation(v: np.ndarray) -> np.ndarray:
+    """O (3, 3, ...) with O_ij = 1/2 tr(sigma_i V sigma_j V^dagger): the
+    rotation that system unitaries V (..., 2, 2) induce on Bloch vectors."""
+    return 0.5 * np.einsum("iab,...bc,jcd,...ad->ij...", _PAULI, v, _PAULI, v.conj()).real
+
+
+def _evolved_distance(w0, w1, phi) -> np.ndarray:
+    """1/2 |w_0 + R_phi w_1| for the Bloch vectors w_e, each a 3-sequence of
+    components, of traceless environment-diagonal blocks, with R_phi the z
+    rotation that D_1 induces: the entry [1, 0] of D_1 x D_1^dagger is
+    e^{-i phi} x_10."""
     phi = np.asarray(phi, dtype=float)
     cos, sin = np.cos(phi), np.sin(phi)
-    m00 = x[..., 0, 0, 0].real + x[..., 1, 0, 0].real
-    x0, x1 = x[..., 0, 1, 0], x[..., 1, 1, 0]
-    m10_re = x0.real + (cos * x1.real + sin * x1.imag)  # x0 + e^{-i phi} x1
-    m10_im = x0.imag + (cos * x1.imag - sin * x1.real)
+    x0, y0, z0 = w0
+    x1, y1, z1 = w1
+    x = x0 + (cos * x1 + sin * y1)
+    y = y0 + (cos * y1 - sin * x1)
+    z = z0 + z1
     # x * x, not x ** 2: a one-row call squares numpy scalars, whose ** calls pow
-    return np.sqrt(m00 * m00 + m10_re * m10_re + m10_im * m10_im)
+    return 0.5 * np.sqrt(x * x + y * y + z * z)
+
+
+def td_bloch(r: np.ndarray, n: np.ndarray, phi) -> np.ndarray:
+    """Td from block Bloch vectors r (2, 3, ...) and the dephasing axis n
+    (3, ...): the evolved distance of y_e = r_e - (r_e . n) n."""
+    nx, ny, nz = n
+    y = []
+    for rx, ry, rz in r:
+        p = rx * nx + ry * ny + rz * nz
+        y.append((rx - p * nx, ry - p * ny, rz - p * nz))
+    return check_finite(_evolved_distance(*y, phi), "witness Td")
+
+
+def growth_bloch(r: np.ndarray, o: np.ndarray, phi) -> np.ndarray:
+    """Growth from block Bloch vectors r (2, 3, ...) and the Bloch rotation
+    o (3, 3, ...) of the system unitary: the evolved distance of
+    w_e = O r_e - r_e at phi minus the one at phi = 0."""
+    w = [[oi[0] * rx + oi[1] * ry + oi[2] * rz - ri for oi, ri in zip(o, (rx, ry, rz))]
+         for rx, ry, rz in r]
+    x, y, z = (a + b for a, b in zip(*w))
+    at_zero = 0.5 * np.sqrt(x * x + y * y + z * z)
+    return check_finite(_evolved_distance(*w, phi) - at_zero, "growth witness")
+
+
+def td_error_bound(norm: np.ndarray) -> np.ndarray:
+    """Td's forward-error bound at marginal Bloch radius |b| = norm:
+    TD_ERROR_ULPS u / |b|, or TD_ERROR_ULPS u on the degenerate branch,
+    where n = z is fixed."""
+    return TD_ERROR_ULPS * _UNIT_ROUNDOFF / np.where(norm < DEGENERACY_GAP, 1.0, norm)
 
 
 def _kets(projs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -140,19 +226,14 @@ def discord_values(rho: np.ndarray, projs: np.ndarray) -> np.ndarray:
     return value
 
 
-def td_values(rho: np.ndarray, phi, projs: np.ndarray) -> np.ndarray:
-    """Td for stacked states, phases and system projectors (broadcast)."""
-    c, ket, perp = _coherence(rho, projs)
-    x = np.diagonal(c, axis1=-2, axis2=-1)[..., None, None] \
-        * (ket[..., :, None] * perp.conj()[..., None, :])[..., None, :, :]  # c_e |pi><pi_perp|
-    return check_finite(_evolved_distance(x + np.swapaxes(x.conj(), -1, -2), phi), "witness Td")
+def td_values(rho: np.ndarray, phi) -> np.ndarray:
+    """Td for stacked states and phases (broadcast)."""
+    return td_bloch(block_bloch(rho), marginal_axis(rho)[0], phi)
 
 
 def growth_values(rho: np.ndarray, v: np.ndarray, phi) -> np.ndarray:
     """T_u(t) - T_u(0) for stacked states, system unitaries and phases."""
-    blocks = _blocks(rho)
-    y = _sandwich(kron(v, v.conj())[..., None, :, :], blocks) - blocks  # V rho_e V^dagger - rho_e
-    return check_finite(_evolved_distance(y, phi) - _evolved_distance(y, 0.0), "growth witness")
+    return growth_bloch(block_bloch(rho), bloch_rotation(v), phi)
 
 
 def discord_T(rho_se: DensityMatrix) -> WitnessReport:
@@ -170,12 +251,12 @@ def witness_Td(rho_se: DensityMatrix, phi: float) -> WitnessReport:
     """Trace distance of the system marginals of rho and its dephased
     version after the phase-gate evolution at angle phi."""
     r = two_qubit(rho_se)
-    projs, degenerate = eigenprojectors(r)
+    n, norm = marginal_axis(r)
     return WitnessReport(
-        value=float(td_values(r, phi, projs)),
+        value=float(td_bloch(block_bloch(r), n, phi)),
         kind=DISCORD_WITNESS,
         inputs_digest={"phi": phi},
-        degenerate_basis=bool(degenerate),
+        degenerate_basis=bool(norm < DEGENERACY_GAP),
     )
 
 

@@ -10,10 +10,10 @@ from numpy.testing import assert_allclose
 import oracle
 from qdiscern import kernels
 from qdiscern.channels import eigenprojectors, evolve, half_wave_plate, pinch, rotate
-from qdiscern.linalg import DEGENERACY_GAP, partial_trace
-from qdiscern.protocol import ProtocolConfig, classify, growth_stat, td_stat
+from qdiscern.linalg import DEGENERACY_GAP, DensityMatrix, partial_trace
+from qdiscern.protocol import VERDICT_QC, ProtocolConfig, classify, growth_stat, td_stat
 from qdiscern.states import FamilyParams, qc_matrices
-from qdiscern.witness import discord_values, growth_values, td_values
+from qdiscern.witness import axis_projector, discord_values, growth_values, marginal_axis, td_values
 from random_states import random_density
 
 TOL = 1e-12
@@ -51,10 +51,10 @@ stacks = st.lists(states(), min_size=1, max_size=6).map(np.array)
 def test_stacked_equals_batch_of_one_and_oracle(rhos, phi, alpha):
     v = half_wave_plate(alpha)
     projs, _ = eigenprojectors(rhos)
-    t, td, g = discord_values(rhos, projs), td_values(rhos, phi, projs), growth_values(rhos, v, phi)
+    t, td, g = discord_values(rhos, projs), td_values(rhos, phi), growth_values(rhos, v, phi)
     for i, r in enumerate(rhos):
         p1, _ = eigenprojectors(r)
-        one = (discord_values(r, p1), td_values(r, phi, p1), growth_values(r, v, phi))
+        one = (discord_values(r, p1), td_values(r, phi), growth_values(r, v, phi))
         assert_allclose([t[i], td[i], g[i]], one, rtol=0, atol=TOL)
         want = (oracle.discord(r), oracle.td_witness(r, phi), oracle.growth(r, v, phi))
         assert_allclose([t[i], td[i], g[i]], want, rtol=0, atol=TOL)
@@ -64,7 +64,7 @@ def test_stacked_equals_batch_of_one_and_oracle(rhos, phi, alpha):
 @given(stacks, phis)
 def test_td_never_exceeds_t(rhos, phi):
     projs, _ = eigenprojectors(rhos)
-    assert np.all(td_values(rhos, phi, projs) <= discord_values(rhos, projs) + TOL)
+    assert np.all(td_values(rhos, phi) <= discord_values(rhos, projs) + TOL)
 
 
 @PROPERTY
@@ -109,8 +109,7 @@ def test_closed_form_kernel_equals_generic_td(points, phi):
     if not points:
         return
     lam, theta = np.array(points).T
-    rhos = qc_matrices(lam, theta)
-    generic = td_values(rhos, phi, eigenprojectors(rhos)[0])
+    generic = td_values(qc_matrices(lam, theta), phi)
     kernel = np.diagonal(kernels.td_qc_grid(lam, theta, phi))
     assert_allclose(kernel, generic, rtol=0, atol=TOL)
     # a degenerate marginal takes |H><H|, whose Td is |b_x| / 2 at every phase
@@ -130,7 +129,13 @@ def test_td_stat_with_identity_measure_is_td_values(rhos, phi):
     m = partial_trace(evolve(rhos, phi), 0)
     md = partial_trace(evolve(pinch(rhos, projs), phi), 0)
     td, est_m, est_md = td_stat(m, md, _identity)
-    assert_allclose(td, td_values(rhos, phi, projs), rtol=0, atol=1e-15)
+    # the eigh projector is off by about u / |b|, so compare where |b| >= 0.1
+    n_hat, norm = marginal_axis(rhos)
+    sharp = norm >= 0.1
+    assert_allclose(td[sharp], td_values(rhos, phi)[sharp], rtol=0, atol=1e-15)
+    # pinched along the Bloch axis that td_values dephases along, every state agrees
+    md_axis = partial_trace(evolve(pinch(rhos, axis_projector(n_hat)), phi), 0)
+    assert_allclose(td_stat(m, md_axis, _identity)[0], td_values(rhos, phi), rtol=0, atol=1e-15)
     assert est_m is m and est_md is md
 
 
@@ -183,3 +188,69 @@ def test_exact_verdicts_stable_at_near_degenerate_marginals(family, delta):
     name, theta = family
     res = classify(FamilyParams(name, 0.5 + delta, theta).build(), ProtocolConfig())
     assert res.verdict == NEAR_DEGENERATE[family]
+
+
+_U = 2.0 ** -53  # unit roundoff
+
+
+def _perturbations(rho, seed, k=3):
+    """States whose entries each lie within k units of roundoff of rho's
+    (real and imaginary parts apart), kept Hermitian: eight random ones, and
+    rho with every part smaller than k u set to 0."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(8):
+        e = rng.uniform(-k * _U, k * _U, (4, 4)) + 1j * rng.uniform(-k * _U, k * _U, (4, 4))
+        upper = np.triu(rho + e, 1)
+        out.append(upper + upper.conj().T + np.diag(np.diag(rho + e).real))
+    flush = np.where(np.abs(rho.real) < k * _U, 0, rho.real) + 1j * np.where(np.abs(rho.imag) < k * _U, 0, rho.imag)
+    return out + [flush]
+
+
+@st.composite
+def decision_states(draw):
+    """QC states beside the degenerate corner (1/2, pi/2), where Td is
+    ill-conditioned, the near-degenerate states of NEAR_DEGENERATE, and the
+    states of `states()`."""
+    kind = draw(st.sampled_from(["corner", "near-degenerate", "any"]))
+    if kind == "corner":
+        lam = 0.5 + draw(st.floats(-1e-6, 1e-6))
+        return oracle.qc(lam, np.pi / 2 - draw(st.floats(0.0, 1e-6)))
+    if kind == "near-degenerate":
+        name, theta = draw(st.sampled_from(sorted(NEAR_DEGENERATE)))
+        return FamilyParams(name, 0.5 + draw(st.floats(-1e-6, 1e-6)), theta).build().mat
+    return draw(states())
+
+
+@PROPERTY
+@given(decision_states(), st.integers(0, 2**32 - 1), st.sampled_from([np.pi, 1.0]))
+@example(oracle.qc(0.5 + 1e-9, np.pi / 2), 0, np.pi)
+@example(oracle.qc(0.5 - 3e-8, np.pi / 2), 1, 1.0)
+@example(oracle.qc(0.5 + 1e-7, np.pi / 2 - 1e-8), 2, np.pi)
+def test_a_verdict_past_its_margin_survives_roundoff(rho, seed, phi):
+    # A positive stage-1 margin Td - eps - beta, or Td below eps by more than
+    # beta with growth off eps by more than its O(u) rounding, fixes the
+    # verdict for every state within three units of roundoff of rho.
+    config = ProtocolConfig(phi=phi)
+    res = classify(DensityMatrix(rho, (2, 2)), config)
+    td, threshold = res.td_report.value, res.thresholds_used["stage1_threshold"]
+    beta = threshold - config.exact_epsilon
+    if res.verdict == VERDICT_QC:
+        assert td - threshold > 0
+    elif not (config.exact_epsilon - td > beta
+              and abs(res.growth_report.value - config.exact_epsilon) > 1e-13):
+        return
+    for nearby in _perturbations(rho, seed):
+        assert classify(DensityMatrix(nearby, (2, 2)), config).verdict == res.verdict
+
+
+def test_exact_classify_runs_no_eigh(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact classify called np.linalg.eigh")
+
+    states = [FamilyParams("QC", 0.7, np.pi / 4).build(), FamilyParams("CC", 0.64).build(),
+              FamilyParams("F", 0.65).build(), FamilyParams("QC", 0.5 + 2e-9, np.pi / 2).build(),
+              FamilyParams("F", 0.5).build()]
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    verdicts = [classify(s, ProtocolConfig(emit_states=emit)).verdict for s in states for emit in (False, True)]
+    assert verdicts == ["QC", "QC", "CC", "CC", "F", "F", "CC", "CC", "F", "F"]

@@ -9,9 +9,6 @@ import qdiscern
 
 SRC = Path(qdiscern.__file__).parent
 TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-# imported names a module binds for a caller outside the package:
-# perfbench/test_perfbench.py asserts that its tracer wraps witness.partial_trace
-KEPT_BINDINGS = {"witness": {"partial_trace"}}
 
 
 def test_every_public_definition_is_exported_or_used():
@@ -42,5 +39,5 @@ def test_every_imported_name_is_used_in_its_module():
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
                 unused += [f"{module}: {name}" for name in names
-                           if name not in used and name not in KEPT_BINDINGS.get(module, set())]
+                           if name not in used]
     assert unused == []

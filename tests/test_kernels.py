@@ -7,7 +7,8 @@ from qdiscern import kernels
 from qdiscern.channels import eigenprojectors, half_wave_plate
 from qdiscern.linalg import NumericalError
 from qdiscern.states import make_qc, qc_matrices
-from qdiscern.witness import discord_values, growth_values, witness_Td, zero_line_lambda
+from qdiscern.witness import (discord_values, growth_values, marginal_axis, td_error_bound, td_values,
+                              witness_Td, zero_line_lambda)
 
 
 def general_td(lam, theta, phi):
@@ -38,6 +39,24 @@ class TestKernelAgainstGeneralPath:
         for lam, theta in [(0.0, 0.3), (1.0, 0.3), (0.3, 0.0), (0.3, np.pi / 2)]:
             fast = kernels.td_qc_grid([lam], [theta], np.pi)[0, 0]
             assert abs(fast - general_td(lam, theta, np.pi)) < 1e-12
+
+
+class TestKernelAgainstTheBlochCore:
+    """The kernel evaluates Td at the parameters (lam, theta), the core at the
+    rounded entries of the state, and the two differ within Td's
+    forward-error bound; where |b| >= 0.1 that is within 1e-15."""
+
+    @pytest.mark.parametrize("phi", [np.pi, 0.7, -3.0])
+    def test_grid_with_its_edges(self, phi):
+        lams = np.linspace(0, 1, 101)
+        thetas = np.linspace(0, np.pi / 2, 103)
+        rho = qc_matrices(lams[:, None], thetas)
+        core = td_values(rho, phi)
+        norm = marginal_axis(rho)[1]
+        kernel = kernels.td_qc_grid(lams, thetas, phi)
+        sharp = norm >= 0.1
+        assert_allclose(kernel[sharp], core[sharp], rtol=0, atol=1e-15)
+        assert np.all(np.abs(kernel - core) <= td_error_bound(norm))
 
 
 class TestGrid:

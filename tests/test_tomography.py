@@ -154,6 +154,14 @@ class TestSimulateCounts:
         with pytest.raises(ValueError, match=message):
             simulate_counts(state, default_settings(n_qubits), 100, 3)
 
+    def test_empty_settings_rejected(self):
+        with pytest.raises(ValueError, match="no measurement setting was given"):
+            simulate_counts(make_cc(0.64), [], 100, 3)
+
+    def test_record_without_settings_rejected(self):
+        with pytest.raises(ValueError, match="no measurement setting was given"):
+            TomographyRecord((), (), 100, 3)
+
     def test_invalid_probabilities_rejected(self):
         bad = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(ValueError, match="drift"):
