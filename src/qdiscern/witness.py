@@ -15,9 +15,9 @@ tr_E[U X U^dagger] = sum_e D_e X_e D_e^dagger for any X, since the partial
 trace keeps only the blocks X_e and U is block diagonal.
 
 Td and growth are one real quantity of the blocks' Bloch vectors, with no
-eigendecomposition. Write a traceless Hermitian block as x_e = w_e . sigma / 2.
-D_1 only rephases the entry [1, 0] of x_1, which rotates w_1 about z by
-R_phi, so sum_e D_e x_e D_e^dagger = (w_0 + R_phi w_1) . sigma / 2 and its
+eigendecomposition. Write a traceless Hermitian block as h_e = w_e . sigma / 2.
+D_1 only rephases the entry [1, 0] of h_1, which rotates w_1 about z by
+R_phi, so sum_e D_e h_e D_e^dagger = (w_0 + R_phi w_1) . sigma / 2 and its
 trace distance is 1/2 |w_0 + R_phi w_1| (`_evolved_distance`). With r_e the
 Bloch vector of rho_e (`block_bloch`, Pauli coefficients, so
 rho_e = (tr rho_e + r_e . sigma) / 2):
@@ -35,12 +35,22 @@ rho_e = (tr rho_e + r_e . sigma) / 2):
 The Bloch arrays are component-major, r (2, 3, ...), n (3, ...) and
 O (3, 3, ...), so that each component of a batch of one is a scalar.
 
-T needs the blocks off the environment diagonal as well. With Pi = |pi><pi|
-and 1 - Pi = |pi_perp><pi_perp| from the eigenprojector,
-rho - pinch(rho) = |pi><pi_perp| x C + h.c. with the 2x2 environment
-operator C_ab = sum_{s,s'} conj(pi_s) rho[s a, s' b] pi_perp_{s'}; its
+T needs the blocks off the environment diagonal as well. With
+x_ab = tr(sigma rho_ab) the complex Pauli vectors of rho_ab = <a|rho|b>_E
+(x_aa = r_a, x_01 = q = conj(x_10), `_coherence_pauli`) and Pi = |pi><pi|
+the projector onto n, rho - pinch(rho) = |pi><pi_perp| x C + h.c. with
+C_ab = <pi|rho_ab|pi_perp> = 1/2 m . x_ab, m = <pi|sigma|pi_perp>. Its
 eigenvalues are +-sigma_i(C), so T = sigma_1 + sigma_2
-= sqrt(||C||_F^2 + 2 |det C|).
+= sqrt(||C||_F^2 + 2 |det C|). Up to a phase, m = e_1 - i e_2 for a
+right-handed orthonormal basis (e_1, e_2, n), so m . x = m . P x with
+P = 1 - n n^T, |m . a| = |P a| for real a, and (`t_bloch`)
+
+  ||2C||_F^2 = |y_0|^2 + |y_1|^2 + 2 |P q|^2,
+  det 2C = (m . y_0)(m . y_1) - (m . P q)(m . P conj(q)).
+
+The determinant takes a basis (`_plane_null`): the basis-free
+sqrt(det C^dagger C) loses half the digits where C has rank one, as on pure
+states. Where rho_01 = 0 (the QC, CC and F families), T = (|y_0| + |y_1|) / 2.
 """
 
 from __future__ import annotations
@@ -49,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import eigenprojectors, lift, system_unitary
+from .channels import lift, system_unitary
 from .linalg import (
     CROSS_CHECK_TOL,
     DEGENERACY_GAP,
@@ -115,16 +125,22 @@ def block_bloch(rho: np.ndarray) -> np.ndarray:
 
 
 def marginal_axis(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The unit Bloch axis n = b / |b| (3, ...) of the leading eigenvector of
-    each system marginal of stacked states (..., 4, 4), and |b| (...), that
-    marginal's eigenvalue gap. Where |b| < DEGENERACY_GAP the marginal is
-    degenerate and n = z, the axis of |H><H|, by convention."""
+    """The unit Bloch axis n (3, ...) of the leading eigenvector of each
+    system marginal of stacked states (..., 4, 4), and |b| (...), that
+    marginal's eigenvalue gap, from `bloch_axis`."""
     m00, _, m10, m11 = _components(partial_trace(rho, 0).reshape(*rho.shape[:-2], 4))
-    bx, by, bz = 2.0 * m10.real, 2.0 * m10.imag, m00.real - m11.real
+    n, norm = bloch_axis(2.0 * m10.real, 2.0 * m10.imag, m00.real - m11.real)
+    return np.array(n), norm
+
+
+def bloch_axis(bx, by, bz) -> tuple[tuple, np.ndarray]:
+    """The unit axis n = b / |b|, as three components, and |b| of a Bloch
+    vector b with components bx, by, bz. Where |b| < DEGENERACY_GAP the
+    marginal is degenerate and n = z, the axis of |H><H|, by convention."""
     norm = np.sqrt(bx * bx + by * by + bz * bz)
     degenerate = norm < DEGENERACY_GAP
     den = np.where(degenerate, np.inf, norm)  # b / inf = 0 on the degenerate branch
-    return np.array([bx / den, by / den, bz / den + degenerate]), norm
+    return (bx / den, by / den, bz / den + degenerate), norm
 
 
 def axis_projector(n: np.ndarray) -> np.ndarray:
@@ -161,15 +177,53 @@ def _evolved_distance(w0, w1, phi) -> np.ndarray:
     return 0.5 * np.sqrt(x * x + y * y + z * z)
 
 
-def td_bloch(r: np.ndarray, n: np.ndarray, phi) -> np.ndarray:
-    """Td from block Bloch vectors r (2, 3, ...) and the dephasing axis n
-    (3, ...): the evolved distance of y_e = r_e - (r_e . n) n."""
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _transverse(r, n) -> list:
+    """y_e = r_e - (r_e . n) n for the block Bloch vectors r (2, 3, ...) and
+    the dephasing axis n (3, ...), each a 3-sequence of components."""
     nx, ny, nz = n
     y = []
     for rx, ry, rz in r:
         p = rx * nx + ry * ny + rz * nz
         y.append((rx - p * nx, ry - p * ny, rz - p * nz))
-    return check_finite(_evolved_distance(*y, phi), "witness Td")
+    return y
+
+
+def _plane_null(n):
+    """m = e_1 - i e_2, as three components, for an orthonormal basis e_1, e_2
+    of the plane normal to the unit axis n, taken without a branch (Duff et
+    al., "Building an orthonormal basis, revisited", JCGT 6(1), 2017)."""
+    nx, ny, nz = n
+    sign = np.copysign(1.0, nz)
+    a = -1.0 / (sign + nz)
+    b = nx * ny * a
+    return (1.0 + sign * nx * nx * a - 1j * b, sign * b - 1j * (sign + ny * ny * a), 1j * ny - sign * nx)
+
+
+def t_bloch(r, n, q=None) -> tuple[np.ndarray, np.ndarray]:
+    """T, and ||2C||_F^2 for `discord_values`' cross-check, from block Bloch
+    vectors r (2, 3, ...), the dephasing axis n (3, ...) and the complex Pauli
+    vector q (3, ...) of the block rho_01, None where rho_01 = 0."""
+    y0, y1 = _transverse(r, n)
+    a0, a1 = _dot(y0, y0), _dot(y1, y1)
+    if q is None:  # 2C = diag(m . y_0, m . y_1), and |m . y_e| = |y_e|
+        frob2, det = a0 + a1, np.sqrt(a0 * a1)
+    else:
+        (pq,) = _transverse((q,), n)
+        pq_bar = [c.conj() for c in pq]
+        m = _plane_null(n)
+        frob2 = a0 + a1 + 2.0 * _dot(pq, pq_bar).real
+        det = np.abs(_dot(m, y0) * _dot(m, y1) - _dot(m, pq) * _dot(m, pq_bar))
+    return check_finite(0.5 * np.sqrt(frob2 + 2.0 * det), "discord T"), frob2
+
+
+def td_bloch(r, n, phi) -> np.ndarray:
+    """Td from block Bloch vectors r (2, 3, ...) and the dephasing axis n
+    (3, ...): the evolved distance of y_e = r_e - (r_e . n) n."""
+    return check_finite(_evolved_distance(*_transverse(r, n), phi), "witness Td")
 
 
 def growth_bloch(r: np.ndarray, o: np.ndarray, phi) -> np.ndarray:
@@ -190,37 +244,25 @@ def td_error_bound(norm: np.ndarray) -> np.ndarray:
     return TD_ERROR_ULPS * _UNIT_ROUNDOFF / np.where(norm < DEGENERACY_GAP, 1.0, norm)
 
 
-def _kets(projs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit kets pi, pi_perp with Pi = |pi><pi| and 1 - Pi = |pi_perp><pi_perp|,
-    each up to a phase: pi is the column of Pi with the larger diagonal entry,
-    normalized, and pi_perp = (-conj(pi_1), conj(pi_0))."""
-    p00, p11 = projs[..., 0, 0].real, projs[..., 1, 1].real
-    first = (p00 >= p11)[..., None]
-    ket = np.where(first, projs[..., :, 0], projs[..., :, 1]) / np.sqrt(np.maximum(p00, p11))[..., None]
-    return ket, np.stack([-ket[..., 1].conj(), ket[..., 0].conj()], axis=-1)
+def _coherence_pauli(rho: np.ndarray) -> np.ndarray:
+    """The complex Pauli vector q (3, ...) of the block rho_01 = <0|rho|1>_E
+    of stacked states (..., 4, 4): (a_01 + a_10, i (a_01 - a_10), a_00 - a_11)
+    with a = rho_01, whose entry [s, s'] is rho[2 s, 2 s' + 1]."""
+    f = _components(rho.reshape(*rho.shape[:-2], 16))  # f[4 i + j] = rho[i, j]
+    return np.array([f[3] + f[9], 1j * (f[3] - f[9]), f[1] - f[11]])
 
 
-def _coherence(rho: np.ndarray, projs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 2x2 environment operator C with rho - pinch(rho) = |pi><pi_perp| x C
-    + h.c., and the kets pi, pi_perp from `_kets`."""
-    ket, perp = _kets(projs)
-    c = np.einsum("...s,...satb->...atb", ket.conj(), rho.reshape(*rho.shape[:-2], 2, 2, 2, 2))
-    return np.einsum("...atb,...t->...ab", c, perp), ket, perp
+def discord_values(rho: np.ndarray) -> np.ndarray:
+    """T for stacked states (..., 4, 4), on the axis of `marginal_axis`.
 
-
-def discord_values(rho: np.ndarray, projs: np.ndarray) -> np.ndarray:
-    """T for stacked states (..., 4, 4) and system projectors (..., 2, 2).
-
-    Cross-checks ||C||_F against ||(Pi x 1) rho ((1 - Pi) x 1)||_F, built
-    through `lift`, and raises NumericalError if the two disagree, guarding
-    the projector-lifting convention and the kets taken from Pi.
+    Cross-checks ||C||_F against ||(Pi x 1) rho ((1 - Pi) x 1)||_F, with
+    Pi = `axis_projector`(n) built through `lift`, and raises NumericalError
+    if the two disagree, guarding the Pauli-index convention of the blocks.
     """
-    c, _, _ = _coherence(rho, projs)
-    frob2 = (c.real ** 2 + c.imag ** 2).sum(axis=(-2, -1))
-    det = c[..., 0, 0] * c[..., 1, 1] - c[..., 0, 1] * c[..., 1, 0]
-    value = check_finite(np.sqrt(frob2 + 2 * np.abs(det)), "discord T")
-    p = lift(projs)
-    frob, alt = np.sqrt(frob2), np.linalg.norm(p @ rho @ (np.eye(4) - p), axis=(-2, -1))
+    n = marginal_axis(rho)[0]
+    value, frob2 = t_bloch(block_bloch(rho), n, _coherence_pauli(rho))
+    p = lift(axis_projector(n))
+    frob, alt = 0.5 * np.sqrt(frob2), np.linalg.norm(p @ rho @ (np.eye(4) - p), axis=(-2, -1))
     if np.any(np.abs(frob - alt) > CROSS_CHECK_TOL):
         raise NumericalError(f"discord forms disagree: {frob} vs {alt}")
     return value
@@ -239,11 +281,10 @@ def growth_values(rho: np.ndarray, v: np.ndarray, phi) -> np.ndarray:
 def discord_T(rho_se: DensityMatrix) -> WitnessReport:
     """Trace distance between rho and its dephased version."""
     r = two_qubit(rho_se)
-    projs, degenerate = eigenprojectors(r)
     return WitnessReport(
-        value=float(discord_values(r, projs)),
+        value=float(discord_values(r)),
         kind=DISCORD_QUANTIFIER,
-        degenerate_basis=bool(degenerate),
+        degenerate_basis=bool(marginal_axis(r)[1] < DEGENERACY_GAP),
     )
 
 
@@ -278,6 +319,9 @@ def zero_line_residual(lam: float, theta: float) -> float:
 
 
 def zero_line_lambda(theta: float) -> float:
-    """The lambda putting (lambda, theta) on the zero line (theta in (pi/4, pi/2))."""
+    """The lambda putting (lambda, theta) on the zero line, for theta in
+    (pi/4, pi/2]; raises ValueError elsewhere, where no lambda in [0, 1] does."""
+    if not (0.0 <= theta <= np.pi / 2 and np.cos(2 * theta) < 0):
+        raise ValueError(f"the zero line needs theta in (pi/4, pi/2], got {theta!r}")
     c = np.cos(2 * theta)
     return float(c / (c - 1.0))

@@ -61,7 +61,7 @@ class TestSystemEigenprojector:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             projs, degenerate = eigenprojectors(rho)
-            td, discord = td_values(rho, np.pi), discord_values(rho, projs)
+            td, discord = td_values(rho, np.pi), discord_values(rho)
         assert projs.dtype == complex and degenerate
         assert np.array_equal(projs, np.diag([1.0, 0.0]))
         assert td == 0.0 and discord == 0.0

@@ -19,7 +19,7 @@ from numpy.testing import assert_allclose
 
 import oracle
 from qdiscern import channels, cli, kernels, states, witness
-from qdiscern.channels import eigenprojectors, half_wave_plate
+from qdiscern.channels import half_wave_plate
 from qdiscern.cli import SWEEP_CHUNK_POINTS, SWEEP_QUANTITIES, main
 from qdiscern.states import qc_matrices
 from qdiscern.witness import discord_values, growth_values
@@ -340,7 +340,7 @@ class TestSweep:
         hwp = half_wave_plate(np.pi / 8)
         for lam, row in zip(table[:, 0, 0], table):
             rho = qc_matrices(lam, thetas)
-            assert_allclose(row[:, 3], discord_values(rho, eigenprojectors(rho)[0]), rtol=0, atol=1e-12)
+            assert_allclose(row[:, 3], discord_values(rho), rtol=0, atol=1e-12)
             assert_allclose(row[:, 5], growth_values(rho, hwp, np.pi), rtol=0, atol=1e-12)
         rng = np.random.default_rng(5)
         for i, j in zip(rng.integers(0, n_lam, 40), rng.integers(0, n_theta, 40)):

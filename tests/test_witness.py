@@ -175,6 +175,31 @@ class TestWitnessGrowth:
         assert abs(got - want) <= 1e-15
 
 
+class TestStageTwoBlindSpot:
+    """On a gate-diagonal state (both blocks diagonal in H/V) with
+    delta_0 delta_1 >= 0, where delta_e = rho_e[H,H] - rho_e[V,V], no system
+    unitary W and no phase makes growth positive: the blocks map to
+    w_e = delta_e v with v = O_W z - z, so growth = 1/2 (|delta_0 v +
+    delta_1 R_phi v| - |delta_0 + delta_1| |v|) <= 0 by the triangle
+    inequality. Each term is at most 1 and comes from a dozen roundings, so
+    the computed growth stays below a few units of roundoff: BOUND. On 10^4
+    random such states growth was at most -5.4e-10; where it is 0 exactly
+    (phi = 0, or delta_0 delta_1 = 0) rounding reached 1.1e-16 on
+    2 10^5 states."""
+
+    BOUND = 1e-15
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0, 1), min_size=4, max_size=4).filter(lambda w: sum(w) > 1e-3),
+           st.integers(0, 2**32 - 1), st.floats(-2 * np.pi, 2 * np.pi))
+    def test_same_sign_blocks_never_grow(self, weights, seed, phi):
+        p = np.array(weights) / sum(weights)  # diagonal over |H0>, |H1>, |V0>, |V1>
+        if (p[0] - p[2]) * (p[1] - p[3]) < 0:
+            p[[1, 3]] = p[[3, 1]]  # flips the sign of delta_1
+        w = random_unitary(np.random.default_rng(seed), 2)
+        assert witness.growth_values(np.diag(p).astype(complex), w, phi) <= self.BOUND
+
+
 class TestZeroLine:
     @pytest.mark.parametrize("lam,theta,expected", [
         (1 / 3, np.pi / 3, 0.0),
@@ -189,6 +214,13 @@ class TestZeroLine:
             lam = zero_line_lambda(theta)
             assert 0.0 <= lam <= 0.5
             assert abs(zero_line_residual(lam, theta)) < 1e-12
+
+    @pytest.mark.parametrize("theta", [0.3, np.pi / 4, 0.0, -1.0, np.pi / 2 + 1e-9, float("nan"), float("inf")])
+    def test_zero_line_lambda_rejects_theta_off_the_line(self, theta):
+        # no lambda in [0, 1] puts these on the line: 0.3 and fl(pi/4) would give a
+        # negative lambda, 0.0 a division by zero
+        with pytest.raises(ValueError, match="zero line"):
+            zero_line_lambda(theta)
 
 
 class TestNonFiniteOutput:
@@ -252,9 +284,27 @@ def _per_call_blocks(rho):
     return np.stack([t[..., :, 0, :, 0], t[..., :, 1, :, 1]], axis=-3)
 
 
+def _per_call_kets(projs):
+    """Unit kets pi, pi_perp with Pi = |pi><pi| and 1 - Pi = |pi_perp><pi_perp|,
+    each up to a phase: pi is the column of Pi with the larger diagonal entry,
+    normalized, and pi_perp = (-conj(pi_1), conj(pi_0))."""
+    p00, p11 = projs[..., 0, 0].real, projs[..., 1, 1].real
+    first = (p00 >= p11)[..., None]
+    ket = np.where(first, projs[..., :, 0], projs[..., :, 1]) / np.sqrt(np.maximum(p00, p11))[..., None]
+    return ket, np.stack([-ket[..., 1].conj(), ket[..., 0].conj()], axis=-1)
+
+
+def _per_call_coherence(rho, projs):
+    """The 2x2 environment operator C with rho - pinch(rho) = |pi><pi_perp| x C
+    + h.c., and the kets pi, pi_perp from `_per_call_kets`."""
+    ket, perp = _per_call_kets(projs)
+    c = np.einsum("...s,...satb->...atb", ket.conj(), rho.reshape(*rho.shape[:-2], 2, 2, 2, 2))
+    return np.einsum("...atb,...t->...ab", c, perp), ket, perp
+
+
 def _per_call_td(rho, phi):
     """Td on complex 2x2 blocks, with kets from the eigh eigenprojector."""
-    c, ket, perp = witness._coherence(rho, eigenprojectors(rho)[0])
+    c, ket, perp = _per_call_coherence(rho, eigenprojectors(rho)[0])
     x = np.diagonal(c, axis1=-2, axis2=-1)[..., None, None] \
         * (ket[..., :, None] * perp.conj()[..., None, :])[..., None, :, :]
     m = _per_call_evolved_marginal(x + np.swapaxes(x.conj(), -1, -2), phi)
@@ -365,38 +415,53 @@ class TestStackedCalls:
         assert np.array_equal(witness.axis_projector(n_hat[:, 0]), np.diag([1.0, 0.0]))
 
 
+def _exact_marginal(x):
+    return mpmath.matrix([[x[2 * a, 2 * b] + x[2 * a + 1, 2 * b + 1] for b in range(2)] for a in range(2)])
+
+
+def _exact_pinched(rho):
+    """The float state rho and its pinched state as mpmath matrices, at the
+    caller's precision: the eigenprojector of the system marginal (|H><H|
+    below the degeneracy gap), lifted to Pi x 1 and (1 - Pi) x 1."""
+    r = mpmath.matrix([[mpmath.mpc(complex(z).real, complex(z).imag) for z in row] for row in rho])
+    w, q = mpmath.eigh(_exact_marginal(r))
+    ket = q[:, 1] if w[1] - w[0] >= DEGENERACY_GAP else mpmath.matrix([1, 0])
+    proj = ket * ket.H
+    eye = mpmath.eye(2)
+    lifted = [mpmath.matrix(4, 4), mpmath.matrix(4, 4)]
+    for a in range(2):
+        for b in range(2):
+            for e in range(2):
+                lifted[0][2 * a + e, 2 * b + e] = proj[a, b]
+                lifted[1][2 * a + e, 2 * b + e] = eye[a, b] - proj[a, b]
+    return r, sum((p * r * p for p in lifted), mpmath.matrix(4, 4))
+
+
 def exact_td(rho, phi):
     """Td of the float state rho at phase phi from its definition, in
-    50-digit arithmetic: the eigenprojector of the system marginal (|H><H|
-    below the degeneracy gap), the pinched state, both evolved, and the
-    trace distance of their system marginals by eigenvalues."""
+    50-digit arithmetic: the state and its pinched state (`_exact_pinched`),
+    both evolved, and the trace distance of their system marginals by
+    eigenvalues."""
     with mpmath.workdps(50):
-        r = mpmath.matrix([[mpmath.mpc(complex(z).real, complex(z).imag) for z in row] for row in rho])
-
-        def marginal(x):
-            return mpmath.matrix([[x[2 * a, 2 * b] + x[2 * a + 1, 2 * b + 1] for b in range(2)]
-                                  for a in range(2)])
-
-        w, q = mpmath.eigh(marginal(r))
-        ket = q[:, 1] if w[1] - w[0] >= DEGENERACY_GAP else mpmath.matrix([1, 0])
-        proj = ket * ket.H
-        eye = mpmath.eye(2)
-        lifted = [mpmath.matrix(4, 4), mpmath.matrix(4, 4)]
-        for a in range(2):
-            for b in range(2):
-                for e in range(2):
-                    lifted[0][2 * a + e, 2 * b + e] = proj[a, b]
-                    lifted[1][2 * a + e, 2 * b + e] = eye[a, b] - proj[a, b]
-        pinched = sum((p * r * p for p in lifted), mpmath.matrix(4, 4))
+        r, pinched = _exact_pinched(rho)
         gate = mpmath.diag([1, mpmath.expj(phi), 1, 1])
-        diff = marginal(gate * r * gate.H) - marginal(gate * pinched * gate.H)
+        diff = _exact_marginal(gate * r * gate.H) - _exact_marginal(gate * pinched * gate.H)
         return float(sum(abs(x) for x in mpmath.eigh(diff, eigvals_only=True)) / 2)
+
+
+def exact_t(rho):
+    """T of the float state rho from its definition, in 50-digit arithmetic:
+    half the trace norm of the state minus its pinched state
+    (`_exact_pinched`), by eigenvalues."""
+    with mpmath.workdps(50):
+        r, pinched = _exact_pinched(rho)
+        return float(sum(abs(x) for x in mpmath.eigh(r - pinched, eigvals_only=True)) / 2)
 
 
 class TestAccuracyBesideTheDegenerateCorner:
     """Near a degenerate marginal Td is ill-conditioned, and the eigh
-    projector read 3e-17 where the float state's Td is 1.5e-8. The Bloch
-    axis is accurate there."""
+    projector read 3e-17 where the float state's Td is 1.5e-8, for Td and
+    for T alike. The Bloch axis is accurate there."""
 
     @pytest.mark.parametrize("phi", [np.pi, 0.7, -3.0])
     def test_qc_beside_the_corner_matches_the_definition(self, phi):
@@ -405,6 +470,8 @@ class TestAccuracyBesideTheDegenerateCorner:
             rho = qc_matrices(lam, np.pi / 2)
             value = float(witness.td_values(rho, phi))
             assert abs(value - exact_td(rho, phi)) <= 1e-15 * value, lam
+            t = discord_T(DensityMatrix(rho, (2, 2))).value
+            assert abs(t - exact_t(rho)) <= 1e-15 * t, lam
             # the kernel evaluates Td at (lam, theta) rather than at the rounded
             # entries of the state, which differ from it within Td's bound
             kernel = kernels.td_qc_grid([lam], [np.pi / 2], phi)[0, 0]
