@@ -2,10 +2,11 @@
 phase gate on the environment's channel 1, and local system unitaries
 (half-wave plate rotations).
 
-The array functions (`lift`, `eigenprojectors`, `pinch`, `evolve`,
-`rotate`) work on stacked two-qubit states (..., 4, 4) and system
-operators (..., 2, 2) without validation; the public `DensityMatrix`
-functions are thin calls into them.
+The array functions (`eigenprojectors`, `pinch`, `evolve`, `rotate`) work
+on stacked two-qubit states (..., 4, 4) and system operators (..., 2, 2)
+without validation; the public `DensityMatrix` functions are thin calls
+into them. No function here runs an eigendecomposition: the eigenprojector
+is read off the marginal's Bloch vector (`witness.marginal_axis`).
 """
 
 from __future__ import annotations
@@ -14,11 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DEGENERACY_GAP, HERM_TOL, IDEMPOTENCY_TOL, TRACE_TOL, UNITARY_TOL,
-                     DensityMatrix, hermiticity_defect, kron, partial_trace, two_qubit)
-from .states import PROJ_H, _constant
-
-_EYE2 = _constant([[1, 0], [0, 1]])
+from .linalg import (_EYE2, DEGENERACY_GAP, HERM_TOL, IDEMPOTENCY_TOL, TRACE_TOL, DensityMatrix,
+                     hermiticity_defect, lift, system_unitary, two_qubit)
+from .witness import bloch_matrix, marginal_axis
 
 
 @dataclass(frozen=True)
@@ -58,24 +57,18 @@ def phase_gate(phi: float) -> np.ndarray:
     return np.diag(_gate_diagonal(phi))
 
 
-def lift(op: np.ndarray) -> np.ndarray:
-    """System operators (..., 2, 2) on the two-qubit space: op x 1."""
-    return kron(op, _EYE2)
-
-
 def eigenprojectors(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Projectors (..., 2, 2) onto the leading eigenvector of each system
     marginal of rho (..., 4, 4), and where that marginal is degenerate.
 
-    A degenerate marginal has no preferred eigenbasis; by convention it
-    gets |H><H|. The projectors are complex for every input dtype.
+    The leading eigenvector's Bloch vector is the marginal's axis
+    n = b / |b| (`marginal_axis`), and the eigenvalue gap is |b|, so no
+    eigendecomposition runs. A degenerate marginal, |b| < DEGENERACY_GAP, has
+    no preferred eigenbasis; by convention it gets |H><H| (n = z). The
+    projectors are complex for every input dtype.
     """
-    w, v = np.linalg.eigh(partial_trace(rho, 0))
-    lead = v[..., :, 1]
-    projs = np.asarray(lead[..., :, None] * lead.conj()[..., None, :], dtype=complex)
-    degenerate = w[..., 1] - w[..., 0] < DEGENERACY_GAP
-    projs[degenerate] = PROJ_H
-    return projs, degenerate
+    n, norm = marginal_axis(rho)
+    return bloch_matrix(n), norm < DEGENERACY_GAP
 
 
 def pinch(rho: np.ndarray, projs: np.ndarray) -> np.ndarray:
@@ -95,16 +88,6 @@ def rotate(rho: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(V x 1) rho (V x 1)^dagger."""
     w = lift(v)
     return w @ rho @ np.swapaxes(w.conj(), -1, -2)
-
-
-def system_unitary(v) -> np.ndarray:
-    """v as a complex (2, 2) array; ValueError unless it is a system unitary."""
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (2, 2):
-        raise ValueError("unitary dimension does not match the system factor")
-    if np.abs(v.conj().T @ v - _EYE2).max() > UNITARY_TOL:
-        raise ValueError("v is not unitary")
-    return v
 
 
 def system_eigenprojector(rho_se: DensityMatrix) -> Projector:

@@ -118,6 +118,25 @@ def kron(a, b) -> np.ndarray:
     return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
+_EYE2 = np.eye(2, dtype=complex)
+_EYE2.setflags(write=False)
+
+
+def lift(op: np.ndarray) -> np.ndarray:
+    """System operators (..., 2, 2) on the two-qubit space: op x 1."""
+    return kron(op, _EYE2)
+
+
+def system_unitary(v) -> np.ndarray:
+    """v as a complex (2, 2) array; ValueError unless it is a system unitary."""
+    v = np.asarray(v, dtype=complex)
+    if v.shape != (2, 2):
+        raise ValueError("unitary dimension does not match the system factor")
+    if np.abs(v.conj().T @ v - _EYE2).max() > UNITARY_TOL:
+        raise ValueError("v is not unitary")
+    return v
+
+
 def two_qubit(rho: DensityMatrix) -> np.ndarray:
     """The (4, 4) matrix of a state with dims (2, 2); ValueError for any other."""
     if rho.dims != (2, 2):

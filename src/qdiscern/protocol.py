@@ -56,6 +56,23 @@ often; it also ignores the distance that projector misestimation alone
 induces. Stage 2's growth statistic is not folded, so the plain rule
 applies there.
 
+Only the two-qubit experiments, the estimate rho_hat of the state and the
+null's B replicas of rho_null, tomograph 4x4 matrices. Every measured
+marginal is a Bloch vector (3, ...), computed from the blocks' Bloch
+vectors r_e (`witness.block_bloch`) and tomographed in Bloch coordinates
+(`tomography.sample_bloch`); no 2x2 matrix is built:
+* the dephasing axis n is `witness.marginal_axis` of rho_hat, and
+  rho_null = pinch(rho_hat, Pi(n)) is the one 4x4 state built;
+* the evolved state's marginal is r_0 + R_phi r_1, and the dephased one's
+  (r_0 . n) n + R_phi (r_1 . n) n, with R_phi the Bloch rotation
+  (`witness.bloch_rotation`) of D_1 = diag(e^{i phi}, 1);
+* the null's are the same on the blocks of rho_null, with replica k's axis
+  n_k, the `marginal_axis` of its two-qubit estimate;
+* stage 2's are r_0 + r_1, O_V r_0 + O_V r_1 and their evolved twins, with
+  O_V the plate's Bloch rotation.
+A trace distance between two marginals is 1/2 |s - s'| of their Bloch
+vectors.
+
 Seeding: experiment j of a run seeded s draws its settings, in order, from
 one generator on SeedSequence(s, spawn_key=(j,)), the j-th spawned child of
 SeedSequence(s). So a seed reproduces every count, estimate and verdict
@@ -78,12 +95,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channels import eigenprojectors, evolve, half_wave_plate, pinch, rotate
-from .linalg import (DEGENERACY_GAP, DensityMatrix, check_finite, is_finite_real, partial_trace,
-                     trace_distances, two_qubit)
+from .channels import evolve, half_wave_plate, pinch, rotate
+from .linalg import DEGENERACY_GAP, DensityMatrix, check_finite, is_finite_real, partial_trace, two_qubit
 from .states import FamilyParams
-from .tomography import default_settings, sample_reconstructions
-from .witness import (CORRELATION_WITNESS, DISCORD_WITNESS, WitnessReport, axis_projector, block_bloch,
+from .tomography import default_settings, sample_bloch, sample_reconstructions
+from .witness import (CORRELATION_WITNESS, DISCORD_WITNESS, WitnessReport, block_bloch, bloch_matrix,
                       bloch_rotation, growth_bloch, marginal_axis, td_bloch, td_error_bound)
 
 VERDICT_QC = "QC"
@@ -225,7 +241,7 @@ def _classify_exact(rho: DensityMatrix, config: ProtocolConfig, digest: dict) ->
     phi, eps, emit = config.phi, config.exact_epsilon, config.emit_states
 
     def stage1():
-        states = (_marginals(rho_s_t=evolve(r, phi), rho_s_d_t=evolve(pinch(r, axis_projector(n)), phi))
+        states = (_marginals(rho_s_t=evolve(r, phi), rho_s_d_t=evolve(pinch(r, bloch_matrix(n)), phi))
                   if emit else {})
         return float(td_bloch(bloch, n, phi)), eps + float(td_error_bound(norm)), None, states
 
@@ -241,21 +257,51 @@ def _classify_exact(rho: DensityMatrix, config: ProtocolConfig, digest: dict) ->
                     stage1, stage2)
 
 
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """1/2 |a - b|, the trace distance of the qubit states of Bloch vectors
+    a and b (3, ...)."""
+    d = a - b
+    return 0.5 * np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+
+
 def td_stat(m: np.ndarray, md: np.ndarray, measure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stage-1 statistic: the trace distance between the evolved system
-    marginals of a state (m) and of its dephased twin (md), each as
-    `measure` sees it. Returns the distance and the two estimates."""
+    marginals of a state and of its dephased twin, given as Bloch vectors m
+    and md (3, ...), each as `measure` sees it. Returns the distance and the
+    two estimates."""
     est_m = measure(m)
     est_md = measure(md)
-    return trace_distances(est_md, est_m), est_m, est_md
+    return _distances(est_md, est_m), est_m, est_md
 
 
 def growth_stat(marginals, measure) -> tuple[np.ndarray, list]:
     """Stage-2 statistic TD(e3, e2) - TD(e1, e0) over the system marginals
-    of (rho, rho_u, rho(t), rho_u(t)), each as `measure` sees it. Returns
-    the growth and the four estimates."""
+    of (rho, rho_u, rho(t), rho_u(t)), given as Bloch vectors (3, ...), each
+    as `measure` sees it. Returns the growth and the four estimates."""
     e = [measure(m) for m in marginals]
-    return trace_distances(e[3], e[2]) - trace_distances(e[1], e[0]), e
+    return _distances(e[3], e[2]) - _distances(e[1], e[0]), e
+
+
+def _rotated(o, r) -> np.ndarray:
+    """O r (3, ...) for a Bloch rotation o (3, 3) and Bloch vectors r (3, ...)."""
+    rx, ry, rz = r
+    return np.array([oi[0] * rx + oi[1] * ry + oi[2] * rz for oi in o])
+
+
+def _dephased(r, n) -> np.ndarray:
+    """(r_e . n) n (2, 3, ...): the Bloch vectors of the blocks r (2, 3, ...)
+    after dephasing along the axes n (3, ...)."""
+    nx, ny, nz = n
+    out = []
+    for rx, ry, rz in r:
+        p = rx * nx + ry * ny + rz * nz
+        out.append([p * nx, p * ny, p * nz])
+    return np.array(out)
+
+
+def _qubit_states(names, bloch) -> dict:
+    """Validated qubit states of Bloch vectors (3,), by name, for the caller."""
+    return {k: DensityMatrix(bloch_matrix(v), (2,)) for k, v in zip(names, bloch)}
 
 
 def _classify_simulated(rho: DensityMatrix, config: ProtocolConfig, digest: dict) -> ClassificationResult:
@@ -263,47 +309,53 @@ def _classify_simulated(rho: DensityMatrix, config: ProtocolConfig, digest: dict
     phi, shots, b = config.phi, config.shots, config.bootstrap_samples
     streams = (np.random.SeedSequence(config.seed, spawn_key=(j,)) for j in itertools.count())
 
-    def replicate(state: np.ndarray, settings=settings1, n: int = b) -> np.ndarray:
-        """n synthetic experiments on one state, or one on each of n states."""
-        return sample_reconstructions(state, settings, shots, n, next(streams))
+    def replicate(s: np.ndarray, n: int = b) -> np.ndarray:
+        """n synthetic one-qubit experiments on the state of Bloch vector s
+        (3,), or one on each of s (3, n): the estimated Bloch vectors (3, n)."""
+        return sample_bloch(s, settings1, shots, n, next(streams))
 
-    def observe(state: np.ndarray, settings=settings1) -> np.ndarray:
-        """One simulated tomography experiment: the reconstructed state."""
-        return replicate(state, settings, 1)[0]
+    def observe(s: np.ndarray) -> np.ndarray:
+        """One simulated one-qubit tomography experiment: the estimated Bloch vector."""
+        return replicate(s, 1)[:, 0]
 
     r = two_qubit(rho)
+    blocks = block_bloch(r)
+    gate = bloch_rotation(np.diag([np.exp(1j * phi), 1.0]))  # R_phi, the Bloch rotation of D_1
+
+    def evolved(w: np.ndarray) -> np.ndarray:
+        """The Bloch vector w_0 + R_phi w_1 of the evolved system marginal of
+        blocks with Bloch vectors w (2, 3, ...)."""
+        return w[0] + _rotated(gate, w[1])
+
     # Pi from full-state tomography, as the experiment extracts it
-    rho_hat = observe(r, settings2)
-    proj, degenerate = eigenprojectors(rho_hat)
-    rho_d = pinch(r, proj)
+    rho_hat = sample_reconstructions(r, settings2, shots, 1, next(streams))[0]
+    n, norm = marginal_axis(rho_hat)
     # the zero-discord surrogate of the estimate, for the stage-1 null
-    rho_null = pinch(rho_hat, proj)
+    rho_null = pinch(rho_hat, bloch_matrix(n))
 
     def stage1():
-        td_hat, m_t, md_t = td_stat(partial_trace(evolve(r, phi), 0),
-                                    partial_trace(evolve(rho_d, phi), 0), observe)
+        td_hat, m_t, md_t = td_stat(evolved(blocks), evolved(_dephased(blocks, n)), observe)
         # the null reruns the whole pipeline, projector tomography included
-        null_projs, _ = eigenprojectors(replicate(rho_null, settings2))
-        td_null, _, _ = td_stat(partial_trace(evolve(rho_null, phi), 0),
-                                partial_trace(evolve(pinch(rho_null, null_projs), phi), 0), replicate)
+        null_axes = marginal_axis(sample_reconstructions(rho_null, settings2, shots, b, next(streams)))[0]
+        null_blocks = block_bloch(rho_null)
+        td_null, _, _ = td_stat(evolved(null_blocks), evolved(_dephased(null_blocks, null_axes)), replicate)
         threshold = float(td_null.mean() + config.threshold_sigma * td_null.std())
         # parametric bootstrap around the two point estimates, for the error bar
         sigma = float(td_stat(m_t, md_t, replicate)[0].std())
         check_finite([td_hat, threshold, sigma], "stage-1 statistic")
-        states = ({"rho_s_t_hat": DensityMatrix(m_t, (2,)), "rho_s_d_t_hat": DensityMatrix(md_t, (2,))}
-                  if config.emit_states else {})
+        states = _qubit_states(("rho_s_t_hat", "rho_s_d_t_hat"), (m_t, md_t)) if config.emit_states else {}
         return float(td_hat), threshold, sigma, states
 
     def stage2():
-        rho_u = rotate(r, half_wave_plate(config.hwp_angle))
-        marginals = [partial_trace(s, 0) for s in (r, rho_u, evolve(r, phi), evolve(rho_u, phi))]
+        plate = bloch_rotation(half_wave_plate(config.hwp_angle))
+        rotated = np.array([_rotated(plate, w) for w in blocks])
+        marginals = [blocks[0] + blocks[1], rotated[0] + rotated[1], evolved(blocks), evolved(rotated)]
         growth_hat, estimates = growth_stat(marginals, observe)
         sigma2 = float(growth_stat(estimates, replicate)[0].std())
         check_finite([growth_hat, sigma2], "stage-2 statistic")
-        states = ({k: DensityMatrix(e, (2,)) for k, e in zip(
-            ("rho_s_0_hat", "rho_s_u_0_hat", "rho_s_t_hat2", "rho_s_u_t_hat"), estimates)}
-            if config.emit_states else {})
+        states = (_qubit_states(("rho_s_0_hat", "rho_s_u_0_hat", "rho_s_t_hat2", "rho_s_u_t_hat"), estimates)
+                  if config.emit_states else {})
         return float(growth_hat), config.threshold_sigma * sigma2, sigma2, states
 
     states = {"rho_se_0_hat": DensityMatrix(rho_hat, (2, 2))} if config.emit_states else {}
-    return _cascade(config, digest, bool(degenerate), states, stage1, stage2)
+    return _cascade(config, digest, bool(norm < DEGENERACY_GAP), states, stage1, stage2)

@@ -3,16 +3,31 @@
 A measurement setting is a Pauli product basis named by its label: one
 letter of Z (H/V), X (D/A) or Y (R/L) per qubit, system first. Counts are
 multinomial per setting; reconstruction is linear inversion followed by
-projection onto the physical set, with parametric bootstrap for error bars.
-The rows vec(conj P) of a label list's projectors, and their
-pseudo-inverse, are built once per label list and serve both directions:
-the rows give every Born probability of an experiment in one row-vector
-product, Tr(P rho) = vec(conj P).vec(rho), and the pseudo-inverse gives the
-linear-inversion estimate (James, Kwiat, Munro & White, PRA 64, 052312
-(2001)). The projection is Smolin-Gambetta-Smith's: clip the negative
-eigenvalue mass and keep the trace. For one qubit it has a closed form,
-the Bloch vector clipped to the unit ball (see `_physical`); two-qubit
-estimates go through eigh.
+projection onto the physical set, with parametric bootstrap for error bars
+(James, Kwiat, Munro & White, PRA 64, 052312 (2001)). The projection is
+Smolin-Gambetta-Smith's: clip the negative eigenvalue mass and keep the
+trace.
+
+One qubit is tomographed in real Bloch coordinates, component-major as in
+`witness`: a state is its Bloch vector s (3, ...), rho = (1 + s . sigma)/2.
+A setting on axis a (Z -> z, X -> x, Y -> y) has the Born probabilities
+p+- = (1 +- s_a)/2 (`bloch_probabilities`); the linear-inversion estimate
+of s_a is f+ - f-, averaged over the settings that measure axis a
+(`bloch_estimates`); and the projection, whose eigenvalues are
+(1 -+ |s|)/2, clips the estimate to the unit ball (`_unit_ball`). So a
+one-qubit experiment runs no matrix product and no eigendecomposition.
+Matrix callers (`outcome_probabilities`, `linear_inversion`,
+`reconstruct_batch`, `sample_reconstructions`, `simulate_counts`,
+`reconstruct` and `project_to_physical` on (2, 2) input) convert to and
+from Bloch vectors at the boundary.
+
+Two qubits go through the design: the rows vec(conj P) of a label list's
+projectors, and their pseudo-inverse, are built once per label list and
+serve both directions. The rows give every Born probability of an
+experiment in one row-vector product, Tr(P rho) = vec(conj P).vec(rho),
+the pseudo-inverse gives the linear-inversion estimate, and the projection
+goes through eigh.
+
 Probabilities, inversion and projection work on stacked states and
 frequency vectors; one run is a batch of one, equal bit for bit to its
 row of a stacked call. Seeding is deterministic: one experiment draws
@@ -30,6 +45,7 @@ import numpy as np
 
 from .linalg import (ESTIMATE_TRACE_TOL, HERM_TOL, PROB_DRIFT_TOL, DensityMatrix,
                      hermiticity_defect, kron)
+from .witness import _components, bloch_matrix
 
 _KETS = {
     "H": np.array([1, 0], dtype=complex),
@@ -40,6 +56,9 @@ _KETS = {
     "L": np.array([1, -1j], dtype=complex) / np.sqrt(2),
 }
 _BASES = {"Z": ("H", "V"), "X": ("D", "A"), "Y": ("R", "L")}
+# the Bloch axis, as a component index, that a one-qubit setting measures
+_AXIS = {"X": 0, "Y": 1, "Z": 2}
+_SIGNS = np.array([1.0, -1.0])  # the outcomes +, - of a one-qubit setting
 
 
 @functools.cache
@@ -150,27 +169,87 @@ class ReconstructedState:
 
 @functools.cache
 def _rows(labels: tuple[str, ...]) -> np.ndarray:
-    """The stacked rows vec(conj P), (M, d*d), of a label list's projectors."""
-    projs = [_projectors(label) for label in labels]
-    d = projs[0].shape[-1]
-    return np.concatenate([p.conj().reshape(-1, d * d) for p in projs])
+    """The stacked rows vec(conj P), (M, 16), of a two-qubit label list's projectors."""
+    return np.concatenate([_projectors(label).conj().reshape(-1, 16) for label in labels])
 
 
 @functools.cache
 def _pinv(labels: tuple[str, ...]) -> np.ndarray:
-    """Least-squares inverse of the map vec(rho) -> outcome probabilities."""
+    """Least-squares inverse of the map vec(rho) -> outcome probabilities,
+    for a two-qubit label list."""
     rows = _rows(labels)
     if np.linalg.matrix_rank(rows) < rows.shape[1]:
         raise ValueError("singular design: settings are not informationally complete")
     return np.linalg.pinv(rows)
 
 
+def _labels(settings) -> tuple[str, ...]:
+    return tuple(s.label for s in settings)
+
+
+@functools.cache
+def _axis_groups(labels: tuple[str, ...]) -> tuple[list, list, np.ndarray, np.ndarray]:
+    """For a one-qubit label list: the axis index that each setting
+    measures, the settings in axis order x, y, z, where each axis's group
+    starts in that order, and the group sizes."""
+    axes = [_AXIS[label] for label in labels]
+    sizes = np.bincount(axes, minlength=3)
+    return axes, sorted(range(len(axes)), key=axes.__getitem__), np.cumsum(sizes) - sizes, sizes
+
+
+def bloch_probabilities(s: np.ndarray, settings) -> list[np.ndarray]:
+    """Born probabilities (1 + s_a, 1 - s_a) / 2 of one-qubit settings for
+    Bloch vectors s (3, ...): one (..., 2) array per setting, clamped to
+    [0, 1]. Each pair sums to 1 up to rounding; a probability below
+    -PROB_DRIFT_TOL, |s_a| > 1 + 2 PROB_DRIFT_TOL, signals an invalid state."""
+    sa = np.asarray(s)[_axis_groups(_labels(settings))[0]]
+    p = (1.0 + sa[..., None] * _SIGNS) / 2
+    if p.min() < -PROB_DRIFT_TOL:
+        raise ValueError(f"outcome probabilities drifted beyond tolerance: {p}")
+    return list(np.clip(p, 0.0, 1.0))
+
+
+def bloch_estimates(settings, frequencies: np.ndarray) -> np.ndarray:
+    """Linear-inversion Bloch vectors (3, ...) from the outcome frequencies
+    (..., 2k) of k one-qubit settings: per axis, f+ - f- averaged over the
+    settings that measure it (may lie outside the unit ball)."""
+    _, order, starts, sizes = _axis_groups(_labels(settings))
+    if not sizes.all():
+        raise ValueError("singular design: settings are not informationally complete")
+    f = _components(np.asarray(frequencies))
+    diffs = (f[0::2] - f[1::2])[order]
+    return np.add.reduceat(diffs, starts, axis=0) / sizes.reshape(3, *[1] * (diffs.ndim - 1))
+
+
+def _unit_ball(r: np.ndarray) -> np.ndarray:
+    """The physicality projection of Bloch vectors r (3, ...): r / max(|r|, 1)."""
+    return r / np.maximum(np.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2]), 1.0)
+
+
+def _bloch(m: np.ndarray) -> np.ndarray:
+    """Bloch vectors (3, ...) of stacked (..., 2, 2) matrices, read like
+    eigvalsh from the diagonal's real part and the lower triangle."""
+    low = m[..., 1, 0]
+    return np.array([2.0 * low.real, 2.0 * low.imag, m[..., 0, 0].real - m[..., 1, 1].real])
+
+
+def _is_qubit(settings) -> bool:
+    return len(settings[0].label) == 1
+
+
 def outcome_probabilities(rho_mat: np.ndarray, settings) -> list[np.ndarray]:
     """Born probabilities of every setting for stacked states (..., d, d):
     one (..., k) array per setting, clamped and renormalized within
-    PROB_DRIFT_TOL; larger drift signals an invalid state."""
-    rows = _rows(tuple(s.label for s in settings))
+    PROB_DRIFT_TOL; larger drift signals an invalid state. One qubit goes
+    through `bloch_probabilities`, whose probabilities sum to 1, so a trace
+    off 1 by more than PROB_DRIFT_TOL is drift there."""
     rho_mat = np.asarray(rho_mat)
+    if rho_mat.shape[-1] == 2:
+        tr = rho_mat[..., 0, 0].real + rho_mat[..., 1, 1].real
+        if np.abs(tr - 1.0).max() > PROB_DRIFT_TOL:
+            raise ValueError(f"outcome probabilities drifted beyond tolerance: trace {tr}")
+        return bloch_probabilities(_bloch(rho_mat), settings)
+    rows = _rows(_labels(settings))
     vec = rho_mat.reshape(*rho_mat.shape[:-2], 1, rows.shape[1])
     # one row-vector product per state: a stacked (n, d*d) @ (d*d, M) product
     # rounds differently from its rows, so a stacked call would not be n
@@ -214,11 +293,12 @@ def simulate_counts(rho, settings, shots: int, seed: int) -> TomographyRecord:
 def linear_inversion(settings, frequencies: np.ndarray) -> np.ndarray:
     """Hermitian unit-trace estimates (..., d, d) from outcome frequencies
     (..., M) (may be unphysical)."""
-    pinv = _pinv(tuple(s.label for s in settings))
-    d = 2 ** len(settings[0].label)
+    if _is_qubit(settings):
+        return bloch_matrix(bloch_estimates(settings, frequencies))
+    pinv = _pinv(_labels(settings))
     freqs = np.asarray(frequencies, dtype=complex)
     # one row-vector product per estimate, as in outcome_probabilities
-    m = (freqs[..., None, :] @ pinv.T).reshape(*freqs.shape[:-1], d, d)
+    m = (freqs[..., None, :] @ pinv.T).reshape(*freqs.shape[:-1], 4, 4)
     m = (m + np.swapaxes(m.conj(), -1, -2)) / 2
     return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
 
@@ -245,18 +325,13 @@ def _physical(h: np.ndarray) -> np.ndarray:
     Bloch ball (|n| <= 1) nothing is negative and h is kept. Outside it the
     truncate-and-rescale sweep moves the negative eigenvalue onto the other
     one, which becomes 1: the pure state (1 + n.sigma/|n|)/2 along the
-    Bloch direction. So the projection divides n by max(|n|, 1), in closed
-    form; with z = (h00 - h11)/2 and x = h10, |n| = 2 sqrt(z^2 + |x|^2).
+    Bloch direction. So the projection is `_unit_ball` on the Bloch vector.
     Larger d goes through eigh and `_truncate_rescale`.
     """
     tr = np.trace(h, axis1=-2, axis2=-1).real
     h = h / tr[..., None, None]
     if h.shape[-1] == 2:
-        z = (h[..., 0, 0].real - h[..., 1, 1].real) / 2
-        x = h[..., 1, 0]
-        scale = np.maximum(2 * np.hypot(z, np.abs(x)), 1.0)
-        z, x = z / scale, x / scale
-        return np.stack([0.5 + z, x.conj(), x, 0.5 - z], axis=-1).reshape(h.shape)
+        return bloch_matrix(_unit_ball(_bloch(h)))
     w, v = np.linalg.eigh(h)
     w = _truncate_rescale(w)
     w /= w.sum(axis=-1, keepdims=True)
@@ -277,6 +352,8 @@ def project_to_physical(h: np.ndarray) -> DensityMatrix:
 
 def reconstruct_batch(settings, freqs: np.ndarray) -> np.ndarray:
     """Linear inversion + physicality projection of (..., M) frequencies."""
+    if _is_qubit(settings):
+        return bloch_matrix(_unit_ball(bloch_estimates(settings, freqs)))
     return _physical(linear_inversion(settings, freqs))
 
 
@@ -298,13 +375,22 @@ def sample_reconstructions(rho_mat: np.ndarray, settings, shots: int,
     return reconstruct_batch(settings, sample_frequencies(probs, shots, n_samples, seed))
 
 
+def sample_bloch(s: np.ndarray, settings, shots: int, n_samples: int, seed) -> np.ndarray:
+    """`sample_reconstructions` of one-qubit settings in Bloch coordinates:
+    the physical Bloch vectors (3, n_samples) of n_samples independent
+    synthetic runs on one state s (3,) or on one state per run (3, n_samples)."""
+    freqs = sample_frequencies(bloch_probabilities(s, settings), shots, n_samples, seed)
+    return _unit_ball(bloch_estimates(settings, freqs))
+
+
 def reconstruct(record: TomographyRecord, bootstrap_samples: int = 200) -> ReconstructedState:
     """Linear inversion + physicality projection, with parametric bootstrap
     per-entry standard errors (none at bootstrap_samples = 0) drawn from the
     first child of SeedSequence(record.seed): the record fixes both alone."""
     if not _is_count(bootstrap_samples):
         raise ValueError(f"bootstrap_samples must be a non-negative integer, got {bootstrap_samples!r}")
-    estimate = project_to_physical(linear_inversion(record.settings, record.frequencies()))
+    mat = reconstruct_batch(record.settings, record.frequencies())
+    estimate = DensityMatrix(mat, (2,) if _is_qubit(record.settings) else (2, 2))
     std_errors = None
     if bootstrap_samples > 0:
         replicas = sample_reconstructions(

@@ -59,7 +59,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import lift, system_unitary
 from .linalg import (
     CROSS_CHECK_TOL,
     DEGENERACY_GAP,
@@ -67,7 +66,9 @@ from .linalg import (
     DensityMatrix,
     NumericalError,
     check_finite,
+    lift,
     partial_trace,
+    system_unitary,
     two_qubit,
 )
 
@@ -143,10 +144,11 @@ def bloch_axis(bx, by, bz) -> tuple[tuple, np.ndarray]:
     return (bx / den, by / den, bz / den + degenerate), norm
 
 
-def axis_projector(n: np.ndarray) -> np.ndarray:
-    """Pi = (1 + n . sigma) / 2 (..., 2, 2), the projector onto the pure
-    state of unit Bloch vector n (3, ...); |H><H| at n = z."""
-    x, y, z = n
+def bloch_matrix(r) -> np.ndarray:
+    """(1 + r . sigma) / 2 (..., 2, 2) of Bloch vectors r (3, ...): the
+    projector Pi onto the pure state of a unit axis n, |H><H| at n = z, and
+    the qubit state of any r in the unit ball."""
+    x, y, z = r
     p = np.empty(np.shape(x) + (2, 2), dtype=complex)
     p[..., 0, 0] = 0.5 * (1.0 + z)
     p[..., 1, 1] = 0.5 * (1.0 - z)
@@ -252,16 +254,17 @@ def _coherence_pauli(rho: np.ndarray) -> np.ndarray:
     return np.array([f[3] + f[9], 1j * (f[3] - f[9]), f[1] - f[11]])
 
 
-def discord_values(rho: np.ndarray) -> np.ndarray:
-    """T for stacked states (..., 4, 4), on the axis of `marginal_axis`.
+def discord_values(rho: np.ndarray, axis: np.ndarray | None = None) -> np.ndarray:
+    """T for stacked states (..., 4, 4), on the axis n (3, ...) of
+    `marginal_axis`, which a caller that has it already passes as `axis`.
 
     Cross-checks ||C||_F against ||(Pi x 1) rho ((1 - Pi) x 1)||_F, with
-    Pi = `axis_projector`(n) built through `lift`, and raises NumericalError
+    Pi = `bloch_matrix`(n) built through `lift`, and raises NumericalError
     if the two disagree, guarding the Pauli-index convention of the blocks.
     """
-    n = marginal_axis(rho)[0]
+    n = marginal_axis(rho)[0] if axis is None else axis
     value, frob2 = t_bloch(block_bloch(rho), n, _coherence_pauli(rho))
-    p = lift(axis_projector(n))
+    p = lift(bloch_matrix(n))
     frob, alt = 0.5 * np.sqrt(frob2), np.linalg.norm(p @ rho @ (np.eye(4) - p), axis=(-2, -1))
     if np.any(np.abs(frob - alt) > CROSS_CHECK_TOL):
         raise NumericalError(f"discord forms disagree: {frob} vs {alt}")
@@ -281,10 +284,11 @@ def growth_values(rho: np.ndarray, v: np.ndarray, phi) -> np.ndarray:
 def discord_T(rho_se: DensityMatrix) -> WitnessReport:
     """Trace distance between rho and its dephased version."""
     r = two_qubit(rho_se)
+    n, norm = marginal_axis(r)
     return WitnessReport(
-        value=float(discord_values(r)),
+        value=float(discord_values(r, n)),
         kind=DISCORD_QUANTIFIER,
-        degenerate_basis=bool(marginal_axis(r)[1] < DEGENERACY_GAP),
+        degenerate_basis=bool(norm < DEGENERACY_GAP),
     )
 
 

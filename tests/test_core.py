@@ -11,9 +11,10 @@ import oracle
 from qdiscern import kernels
 from qdiscern.channels import eigenprojectors, evolve, half_wave_plate, pinch, rotate
 from qdiscern.linalg import DEGENERACY_GAP, DensityMatrix, partial_trace
-from qdiscern.protocol import VERDICT_QC, ProtocolConfig, classify, growth_stat, td_stat
+from qdiscern.protocol import VERDICT_QC, ProtocolConfig, _dephased, _rotated, classify, growth_stat, td_stat
 from qdiscern.states import FamilyParams, qc_matrices
-from qdiscern.witness import axis_projector, discord_T, discord_values, growth_values, marginal_axis, td_values
+from qdiscern.witness import (block_bloch, bloch_matrix, bloch_rotation, discord_T, discord_values,
+                              growth_values, marginal_axis, td_values)
 from random_states import random_density
 
 TOL = 1e-12
@@ -123,20 +124,46 @@ def _identity(x):
     return x
 
 
+def _bloch(m):
+    """Bloch vectors (3, ...) of stacked qubit matrices (..., 2, 2)."""
+    return np.array([2 * m[..., 1, 0].real, 2 * m[..., 1, 0].imag, m[..., 0, 0].real - m[..., 1, 1].real])
+
+
+def _evolved(w, phi):
+    """w_0 + R_phi w_1, as simulated mode computes it."""
+    return w[0] + _rotated(bloch_rotation(np.diag([np.exp(1j * phi), 1.0])), w[1])
+
+
+def _stage1_marginals(rhos, phi):
+    """The Bloch vectors of the evolved system marginals of rhos and of
+    rhos pinched along their marginal axis, as simulated mode computes them,
+    and through the 4x4 matrices."""
+    blocks, n_hat = block_bloch(rhos), marginal_axis(rhos)[0]
+    bloch = _evolved(blocks, phi), _evolved(_dephased(blocks, n_hat), phi)
+    dephased = pinch(rhos, bloch_matrix(n_hat))
+    matrix = _bloch(partial_trace(evolve(rhos, phi), 0)), _bloch(partial_trace(evolve(dephased, phi), 0))
+    return bloch, matrix
+
+
+def _stage2_marginals(rhos, v, phi):
+    """The Bloch vectors of the system marginals of (rho, rho_u, rho(t),
+    rho_u(t)), as simulated mode computes them, and through the 4x4 matrices."""
+    blocks, plate = block_bloch(rhos), bloch_rotation(v)
+    rotated = np.array([_rotated(plate, w) for w in blocks])
+    bloch = [blocks[0] + blocks[1], rotated[0] + rotated[1], _evolved(blocks, phi), _evolved(rotated, phi)]
+    rho_u = rotate(rhos, v)
+    matrix = [_bloch(partial_trace(s, 0)) for s in (rhos, rho_u, evolve(rhos, phi), evolve(rho_u, phi))]
+    return bloch, matrix
+
+
 @PROPERTY
 @given(stacks, phis)
 def test_td_stat_with_identity_measure_is_td_values(rhos, phi):
-    projs, _ = eigenprojectors(rhos)
-    m = partial_trace(evolve(rhos, phi), 0)
-    md = partial_trace(evolve(pinch(rhos, projs), phi), 0)
+    (m, md), (m_mat, md_mat) = _stage1_marginals(rhos, phi)
+    assert_allclose(m, m_mat, rtol=0, atol=1e-15)
+    assert_allclose(md, md_mat, rtol=0, atol=1e-15)
     td, est_m, est_md = td_stat(m, md, _identity)
-    # the eigh projector is off by about u / |b|, so compare where |b| >= 0.1
-    n_hat, norm = marginal_axis(rhos)
-    sharp = norm >= 0.1
-    assert_allclose(td[sharp], td_values(rhos, phi)[sharp], rtol=0, atol=1e-15)
-    # pinched along the Bloch axis that td_values dephases along, every state agrees
-    md_axis = partial_trace(evolve(pinch(rhos, axis_projector(n_hat)), phi), 0)
-    assert_allclose(td_stat(m, md_axis, _identity)[0], td_values(rhos, phi), rtol=0, atol=1e-15)
+    assert_allclose(td, td_values(rhos, phi), rtol=0, atol=1e-15)
     assert est_m is m and est_md is md
 
 
@@ -144,8 +171,8 @@ def test_td_stat_with_identity_measure_is_td_values(rhos, phi):
 @given(stacks, phis, angles)
 def test_growth_stat_with_identity_measure_is_growth_values(rhos, phi, alpha):
     v = half_wave_plate(alpha)
-    rho_u = rotate(rhos, v)
-    marginals = [partial_trace(s, 0) for s in (rhos, rho_u, evolve(rhos, phi), evolve(rho_u, phi))]
+    marginals, matrix = _stage2_marginals(rhos, v, phi)
+    assert_allclose(marginals, matrix, rtol=0, atol=1e-15)
     growth, estimates = growth_stat(marginals, _identity)
     assert_allclose(growth, growth_values(rhos, v, phi), rtol=0, atol=1e-15)
     assert all(e is m for e, m in zip(estimates, marginals))
@@ -162,13 +189,10 @@ def test_projectors_pinch_and_stage_statistics_are_batches_of_one(rhos, phi, alp
 
     def stage_values(r):
         projs, degenerate = eigenprojectors(r)
-        dephased = pinch(r, projs)
-        td, _, _ = td_stat(partial_trace(evolve(r, phi), 0),
-                           partial_trace(evolve(dephased, phi), 0), _identity)
-        r_u = rotate(r, v)
-        growth, _ = growth_stat([partial_trace(s, 0) for s in (r, r_u, evolve(r, phi), evolve(r_u, phi))],
-                                _identity)
-        return projs, degenerate, dephased, td, growth
+        (m, md), _ = _stage1_marginals(r, phi)
+        td, _, _ = td_stat(m, md, _identity)
+        growth, _ = growth_stat(_stage2_marginals(r, v, phi)[0], _identity)
+        return projs, degenerate, pinch(r, projs), td, growth
 
     stacked = stage_values(rhos)
     for i, r in enumerate(rhos):

@@ -14,6 +14,7 @@ changes) with:  PYTHONPATH=src python tests/test_snapshot.py
 import hashlib
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -72,15 +73,20 @@ def _counts_hash(draws) -> str:
     return h.hexdigest()
 
 
-def run_case(params: FamilyParams, seed: int, **options) -> dict:
+def _recorded_run(params: FamilyParams, seed: int, **options):
+    """The result of a seeded simulated run, and its multinomial draws."""
     draws = []
     np.random.default_rng = lambda s=None: _RecordingGenerator(s, draws)
     try:
         cfg = ProtocolConfig(mode="simulated", shots=SHOTS, bootstrap_samples=BOOTSTRAP,
                              seed=seed, **options)
-        res = classify_simulated(params, cfg)
+        return classify_simulated(params, cfg), draws
     finally:
         np.random.default_rng = _default_rng
+
+
+def run_case(params: FamilyParams, seed: int, **options) -> dict:
+    res, draws = _recorded_run(params, seed, **options)
     g = res.growth_report
     case = {
         "family": params.family,
@@ -131,6 +137,34 @@ def test_runs_with_emitted_states_match_snapshot(params, snapshot):
     for seed in EMIT_SEEDS:
         _check(run_case(params, seed, **EMIT), snapshot["emit_cases"][(params.family, seed)],
                (params, seed))
+
+
+@pytest.mark.parametrize("params", STATES, ids=lambda p: p.family)
+def test_every_experiment_draws_into_the_count_hash(params):
+    # 8 experiment streams per run, 16 when stage 2 runs, each drawing one
+    # multinomial per setting: a draw made another way would leave its
+    # stream out of counts_sha256
+    for seed in SEEDS:
+        res, draws = _recorded_run(params, seed)
+        draws_per_stream = Counter(key for key, _ in draws)
+        assert len(draws_per_stream) == (8 if res.growth_report is None else 16), (params, seed)
+        assert set(draws_per_stream.values()) <= {3, 9}, (params, seed)
+
+
+def test_simulated_runs_call_eigh_on_two_qubit_states_only(monkeypatch):
+    # every one-qubit experiment and the eigenprojector run in Bloch coordinates
+    shapes = []
+
+    def recording_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    verdicts = [_recorded_run(params, 0, **options)[0].verdict
+                for params in STATES for options in ({}, EMIT)]
+    assert verdicts == ["QC", "QC", "CC", "CC", "F", "F"]
+    assert shapes and all(shape[-2:] == (4, 4) for shape in shapes)
 
 
 def test_emitting_states_does_not_change_the_run(snapshot):

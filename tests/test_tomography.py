@@ -8,21 +8,25 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qdiscern import tomography
-from qdiscern.linalg import DensityMatrix, trace_distance
+from qdiscern.linalg import PROB_DRIFT_TOL, DensityMatrix, trace_distance
 from qdiscern.states import make_cc, make_f, make_qc
 from qdiscern.tomography import (
     MeasurementSetting,
     TomographyRecord,
+    bloch_estimates,
+    bloch_probabilities,
     default_settings,
     linear_inversion,
     outcome_probabilities,
     project_to_physical,
     reconstruct,
     reconstruct_batch,
+    sample_bloch,
     sample_frequencies,
     sample_reconstructions,
     simulate_counts,
 )
+from qdiscern.witness import bloch_matrix
 from random_states import random_density
 
 KET_H_STATE = DensityMatrix(np.diag([1.0, 0.0]).astype(complex), (2,))
@@ -235,6 +239,87 @@ class TestOutcomeProbabilities:
         assert np.array_equal(outcome_probabilities(KET_H_STATE.mat, z)[0], [1.0, 0.0])
         with pytest.raises(ValueError, match="singular"):
             linear_inversion(z, p)
+
+
+@st.composite
+def bloch_stacks(draw):
+    """1 to 50 Bloch vectors (3, n) of one kind: inside the unit ball, on
+    it (pure states), at the centre, or on an axis."""
+    n = draw(st.integers(1, 50))
+    kind = draw(st.sampled_from(["mixed", "pure", "centre", "axis"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.normal(size=(3, n))
+    v /= np.sqrt((v * v).sum(axis=0))
+    if kind == "mixed":
+        v *= rng.uniform(size=n)
+    elif kind == "centre":
+        v *= 0.0
+    elif kind == "axis":
+        v = np.zeros((3, n))
+        v[rng.integers(0, 3, n), np.arange(n)] = rng.choice([-1.0, 1.0], n)
+    return v
+
+
+# the default list, one with an axis measured twice, and one with two axes measured twice
+LABEL_LISTS = [("Z", "X", "Y"), ("X", "Y", "Z", "Z"), ("Y", "Y", "X", "Z", "X")]
+label_lists = st.sampled_from(LABEL_LISTS).map(lambda labels: [MeasurementSetting(c) for c in labels])
+
+
+class TestBlochCore:
+    """One-qubit tomography in Bloch coordinates."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(bloch_stacks(), label_lists)
+    def test_probabilities_match_trace_form(self, s, settings_):
+        got = np.moveaxis(np.array(bloch_probabilities(s, settings_)), 0, 1).reshape(s.shape[1], -1)
+        assert_allclose(got, _trace_form(bloch_matrix(s), settings_), rtol=0, atol=1e-15)
+
+    @settings(max_examples=100, deadline=None)
+    @given(bloch_stacks(), label_lists, st.integers(0, 2**32 - 1))
+    def test_stacked_calls_equal_one_row_calls(self, s, settings_, seed):
+        probs = bloch_probabilities(s, settings_)
+        for i in range(s.shape[1]):
+            assert all(np.array_equal(p[i], q) for p, q in zip(probs, bloch_probabilities(s[:, i], settings_)))
+        # at 50 shots most estimates of a pure state lie outside the unit ball
+        freqs = sample_frequencies(probs, 50, s.shape[1], seed)
+        estimates = bloch_estimates(settings_, freqs)
+        physical = tomography._unit_ball(estimates)
+        for i, f in enumerate(freqs):
+            assert np.array_equal(estimates[:, i], bloch_estimates(settings_, f))
+            assert np.array_equal(physical[:, i], tomography._unit_ball(estimates[:, i]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(bloch_stacks(), label_lists)
+    def test_exact_frequencies_recover_the_bloch_vector(self, s, settings_):
+        freqs = np.concatenate(bloch_probabilities(s, settings_), axis=-1)
+        assert_allclose(bloch_estimates(settings_, freqs), s, rtol=0, atol=1e-15)
+        assert_allclose(tomography._unit_ball(s), s, rtol=0, atol=1e-15)
+
+    def test_an_axis_without_a_setting_is_singular(self):
+        settings_ = [MeasurementSetting("Z"), MeasurementSetting("X"), MeasurementSetting("X")]
+        (pz, px, _) = bloch_probabilities(np.array([0.0, 0.0, 1.0]), settings_)
+        assert np.array_equal(pz, [1.0, 0.0]) and np.array_equal(px, [0.5, 0.5])
+        with pytest.raises(ValueError, match="singular"):
+            bloch_estimates(settings_, np.ones(6) / 2)
+
+    @pytest.mark.parametrize("component", [0, 1, 2])
+    def test_drift_raises_and_rounding_is_clamped(self, component):
+        settings_ = default_settings(1)
+        s = np.zeros(3)
+        s[component] = -(1.0 + 3 * PROB_DRIFT_TOL)
+        with pytest.raises(ValueError, match="drift"):
+            bloch_probabilities(s, settings_)
+        s[component] = -(1.0 + PROB_DRIFT_TOL)
+        probs = np.array(bloch_probabilities(s, settings_))
+        assert probs.min() == 0.0 and probs.max() == 1.0
+
+    def test_matrix_callers_take_the_bloch_path(self):
+        rho = random_density(np.random.default_rng(54), 2).mat
+        s, settings_ = tomography._bloch(rho), default_settings(1)
+        assert np.array_equal(sample_reconstructions(rho, settings_, 1000, 30, 5),
+                              bloch_matrix(sample_bloch(s, settings_, 1000, 30, 5)))
+        freqs = sample_frequencies(bloch_probabilities(s, settings_), 50, 30, 6)
+        assert np.array_equal(linear_inversion(settings_, freqs), bloch_matrix(bloch_estimates(settings_, freqs)))
 
 
 class TestLinearInversion:

@@ -412,7 +412,7 @@ class TestStackedCalls:
         n_hat, norm = witness.marginal_axis(rho)
         assert np.array_equal(n_hat, np.array([[0.0] * 3, [0.0] * 3, [1.0] * 3]))
         assert np.array_equal(norm, [0.0, 0.0, 0.0])
-        assert np.array_equal(witness.axis_projector(n_hat[:, 0]), np.diag([1.0, 0.0]))
+        assert np.array_equal(witness.bloch_matrix(n_hat[:, 0]), np.diag([1.0, 0.0]))
 
 
 def _exact_marginal(x):
