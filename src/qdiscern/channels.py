@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (_EYE2, DEGENERACY_GAP, HERM_TOL, IDEMPOTENCY_TOL, TRACE_TOL, DensityMatrix,
-                     hermiticity_defect, lift, system_unitary, two_qubit)
+                     check_finite, hermiticity_defect, lift, system_unitary, two_qubit)
 from .witness import bloch_matrix, marginal_axis
 
 
@@ -31,6 +31,7 @@ class Projector:
         m = np.array(self.matrix, dtype=complex)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        check_finite(m, "projector", ValueError)
         if hermiticity_defect(m) > HERM_TOL:
             raise ValueError("projector must be Hermitian")
         if np.abs(m @ m - m).max() > IDEMPOTENCY_TOL:

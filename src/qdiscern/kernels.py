@@ -5,17 +5,16 @@ QC(lam, theta) has rho_01 = 0 and the block Bloch vectors r_0 = (0, 0, lam)
 and r_1 = (1 - lam) (sin 2theta, 0, cos 2theta), passed as component
 sequences with scalar zeros. The marginal's b_z = lam + (1 - lam) cos 2theta
 is evaluated as cos^2 theta - (1 - 2 lam) sin^2 theta, which does not cancel
-near the degenerate corner (lam, theta) = (1/2, pi/2). The half-wave plate
-V = [[c, s], [s, -c]] = u . sigma, u = (s, 0, c) with c = cos 2alpha and
-s = sin 2alpha, has the Bloch rotation O = 2 u u^T - 1.
+near the degenerate corner (lam, theta) = (1/2, pi/2).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .channels import half_wave_plate
 from .linalg import CROSS_CHECK_TOL, DEGENERACY_GAP, NumericalError
-from .witness import bloch_axis, growth_bloch, t_bloch, td_bloch
+from .witness import bloch_axis, bloch_rotation, growth_bloch, t_bloch, td_bloch
 
 BACKEND = "numpy"
 
@@ -39,7 +38,7 @@ def t_qc_grid(lams, thetas) -> np.ndarray:
     """
     lams, r, bz = _blocks(lams, thetas)
     bx = r[1][0]
-    n, norm = bloch_axis(bx, 0.0, bz)
+    n, norm = bloch_axis((bx, 0.0, bz))
     t = t_bloch(r, n)[0]
     deg = norm < DEGENERACY_GAP
     alt = np.where(deg, 0.5, lams) * np.abs(bx) / np.where(deg, 1.0, norm)
@@ -51,13 +50,10 @@ def t_qc_grid(lams, thetas) -> np.ndarray:
 def td_qc_grid(lams, thetas, phi: float) -> np.ndarray:
     """Td on the outer grid, shape (len(lams), len(thetas))."""
     _, r, bz = _blocks(lams, thetas)
-    return td_bloch(r, bloch_axis(r[1][0], 0.0, bz)[0], phi)
+    return td_bloch(r, bloch_axis((r[1][0], 0.0, bz))[0], phi)
 
 
 def growth_qc_grid(lams, thetas, hwp_angle: float, phi: float) -> np.ndarray:
     """Growth at plate angle hwp_angle and phase phi on the outer grid,
     shape (len(lams), len(thetas))."""
-    two_alpha = 2.0 * float(hwp_angle)
-    u = (np.sin(two_alpha), 0.0, np.cos(two_alpha))
-    o = [[2.0 * ui * uj - (i == j) for j, uj in enumerate(u)] for i, ui in enumerate(u)]
-    return growth_bloch(_blocks(lams, thetas)[1], o, phi)
+    return growth_bloch(_blocks(lams, thetas)[1], bloch_rotation(half_wave_plate(hwp_angle)), phi)

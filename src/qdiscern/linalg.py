@@ -30,11 +30,13 @@ class NumericalError(ArithmeticError):
     """An internal numerical consistency check failed."""
 
 
-def check_finite(values, what: str) -> np.ndarray:
-    """Return `values` as an array; raise NumericalError if any entry is not finite."""
+def check_finite(values, what: str, error: type[Exception] = NumericalError) -> np.ndarray:
+    """Return `values` as an array; raise `error` if any entry is not finite:
+    NumericalError for a computed value, ValueError for an input, which is
+    checked first, since a NaN passes every `defect > TOL` check."""
     values = np.asarray(values)
     if not np.isfinite(values).all():
-        raise NumericalError(f"{what} is not finite")
+        raise error(f"{what} is not finite")
     return values
 
 
@@ -71,6 +73,7 @@ class DensityMatrix:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
         if math.prod(self.dims) != n:
             raise ValueError(f"dims {self.dims} incompatible with dimension {n}")
+        check_finite(mat, "density matrix", ValueError)
         defect = hermiticity_defect(mat)
         if defect > HERM_TOL:
             raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
@@ -132,13 +135,16 @@ def system_unitary(v) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     if v.shape != (2, 2):
         raise ValueError("unitary dimension does not match the system factor")
+    check_finite(v, "v", ValueError)
     if np.abs(v.conj().T @ v - _EYE2).max() > UNITARY_TOL:
         raise ValueError("v is not unitary")
     return v
 
 
 def two_qubit(rho: DensityMatrix) -> np.ndarray:
-    """The (4, 4) matrix of a state with dims (2, 2); ValueError for any other."""
+    """The (4, 4) matrix of a DensityMatrix with dims (2, 2); ValueError for anything else."""
+    if not isinstance(rho, DensityMatrix):
+        raise ValueError(f"expected a DensityMatrix, got {type(rho).__name__}")
     if rho.dims != (2, 2):
         raise ValueError(f"expected a 2x2-subsystem bipartite state, dims {rho.dims}")
     return rho.mat
@@ -166,18 +172,8 @@ def partial_trace(rho, keep: int):
 
 
 def trace_norm(m):
-    """Sum of absolute eigenvalues of Hermitian (..., d, d) input.
-
-    For d = 2 the eigenvalues are (tr m ± r) / 2 with
-    r = sqrt((m00 - m11)^2 + 4 |m10|^2), so the norm is max(|tr m|, r).
-    Like `eigvalsh`, it reads the diagonal's real part and the lower triangle.
-    """
-    m = _as_array(m)
-    if m.shape[-1] != 2:
-        return np.abs(np.linalg.eigvalsh(m)).sum(axis=-1)
-    a, d, b = m[..., 0, 0].real, m[..., 1, 1].real, m[..., 1, 0]
-    z, re, im = a - d, b.real, b.imag  # x * x: ** on numpy scalars rounds apart
-    return np.maximum(np.abs(a + d), np.sqrt(z * z + 4 * (re * re + im * im)))
+    """Sum of absolute eigenvalues of Hermitian (..., d, d) input."""
+    return np.abs(np.linalg.eigvalsh(_as_array(m))).sum(axis=-1)
 
 
 def trace_distance(a, b) -> float:

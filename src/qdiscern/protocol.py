@@ -63,13 +63,13 @@ vectors r_e (`witness.block_bloch`) and tomographed in Bloch coordinates
 (`tomography.sample_bloch`); no 2x2 matrix is built:
 * the dephasing axis n is `witness.marginal_axis` of rho_hat, and
   rho_null = pinch(rho_hat, Pi(n)) is the one 4x4 state built;
-* the evolved state's marginal is r_0 + R_phi r_1, and the dephased one's
-  (r_0 . n) n + R_phi (r_1 . n) n, with R_phi the Bloch rotation
-  (`witness.bloch_rotation`) of D_1 = diag(e^{i phi}, 1);
+* stage 1's marginals (`stage1_marginals`) are the evolved state's,
+  r_0 + R_phi r_1, and the dephased one's, (r_0 . n) n + R_phi (r_1 . n) n,
+  with R_phi the z rotation of D_1 = diag(e^{i phi}, 1) (`witness.evolved`);
 * the null's are the same on the blocks of rho_null, with replica k's axis
   n_k, the `marginal_axis` of its two-qubit estimate;
-* stage 2's are r_0 + r_1, O_V r_0 + O_V r_1 and their evolved twins, with
-  O_V the plate's Bloch rotation.
+* stage 2's (`stage2_marginals`) are r_0 + r_1, O_V r_0 + O_V r_1 and their
+  evolved twins, with O_V the plate's Bloch rotation.
 A trace distance between two marginals is 1/2 |s - s'| of their Bloch
 vectors.
 
@@ -100,7 +100,8 @@ from .linalg import DEGENERACY_GAP, DensityMatrix, check_finite, is_finite_real,
 from .states import FamilyParams
 from .tomography import default_settings, sample_bloch, sample_reconstructions
 from .witness import (CORRELATION_WITNESS, DISCORD_WITNESS, WitnessReport, block_bloch, bloch_matrix,
-                      bloch_rotation, growth_bloch, marginal_axis, td_bloch, td_error_bound)
+                      bloch_rotation, dephased, evolved, growth_bloch, marginal_axis, rotated, td_bloch,
+                      td_error_bound, vector_norm)
 
 VERDICT_QC = "QC"
 VERDICT_CC = "CC"
@@ -257,21 +258,15 @@ def _classify_exact(rho: DensityMatrix, config: ProtocolConfig, digest: dict) ->
                     stage1, stage2)
 
 
-def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """1/2 |a - b|, the trace distance of the qubit states of Bloch vectors
-    a and b (3, ...)."""
-    d = a - b
-    return 0.5 * np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-
-
 def td_stat(m: np.ndarray, md: np.ndarray, measure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stage-1 statistic: the trace distance between the evolved system
     marginals of a state and of its dephased twin, given as Bloch vectors m
     and md (3, ...), each as `measure` sees it. Returns the distance and the
-    two estimates."""
+    two estimates. A trace distance of qubit states is 1/2 |a - b| of their
+    Bloch vectors a and b."""
     est_m = measure(m)
     est_md = measure(md)
-    return _distances(est_md, est_m), est_m, est_md
+    return 0.5 * vector_norm(est_md - est_m), est_m, est_md
 
 
 def growth_stat(marginals, measure) -> tuple[np.ndarray, list]:
@@ -279,24 +274,20 @@ def growth_stat(marginals, measure) -> tuple[np.ndarray, list]:
     of (rho, rho_u, rho(t), rho_u(t)), given as Bloch vectors (3, ...), each
     as `measure` sees it. Returns the growth and the four estimates."""
     e = [measure(m) for m in marginals]
-    return _distances(e[3], e[2]) - _distances(e[1], e[0]), e
+    return 0.5 * vector_norm(e[3] - e[2]) - 0.5 * vector_norm(e[1] - e[0]), e
 
 
-def _rotated(o, r) -> np.ndarray:
-    """O r (3, ...) for a Bloch rotation o (3, 3) and Bloch vectors r (3, ...)."""
-    rx, ry, rz = r
-    return np.array([oi[0] * rx + oi[1] * ry + oi[2] * rz for oi in o])
+def stage1_marginals(r: np.ndarray, n, phi) -> tuple[np.ndarray, np.ndarray]:
+    """Bloch vectors (3, ...) of the evolved system marginals of a state with
+    block Bloch vectors r (2, 3, ...) and of its twin dephased along n (3, ...)."""
+    return np.array(evolved(*r, phi)), np.array(evolved(*(dephased(w, n) for w in r), phi))
 
 
-def _dephased(r, n) -> np.ndarray:
-    """(r_e . n) n (2, 3, ...): the Bloch vectors of the blocks r (2, 3, ...)
-    after dephasing along the axes n (3, ...)."""
-    nx, ny, nz = n
-    out = []
-    for rx, ry, rz in r:
-        p = rx * nx + ry * ny + rz * nz
-        out.append([p * nx, p * ny, p * nz])
-    return np.array(out)
+def stage2_marginals(r: np.ndarray, o: np.ndarray, phi) -> list[np.ndarray]:
+    """Bloch vectors (3, ...) of the system marginals of (rho, rho_u, rho(t),
+    rho_u(t)) from rho's block Bloch vectors r (2, 3, ...) and the plate's o (3, 3)."""
+    u = np.array([rotated(o, w) for w in r])
+    return [r[0] + r[1], u[0] + u[1], np.array(evolved(*r, phi)), np.array(evolved(*u, phi))]
 
 
 def _qubit_states(names, bloch) -> dict:
@@ -320,13 +311,6 @@ def _classify_simulated(rho: DensityMatrix, config: ProtocolConfig, digest: dict
 
     r = two_qubit(rho)
     blocks = block_bloch(r)
-    gate = bloch_rotation(np.diag([np.exp(1j * phi), 1.0]))  # R_phi, the Bloch rotation of D_1
-
-    def evolved(w: np.ndarray) -> np.ndarray:
-        """The Bloch vector w_0 + R_phi w_1 of the evolved system marginal of
-        blocks with Bloch vectors w (2, 3, ...)."""
-        return w[0] + _rotated(gate, w[1])
-
     # Pi from full-state tomography, as the experiment extracts it
     rho_hat = sample_reconstructions(r, settings2, shots, 1, next(streams))[0]
     n, norm = marginal_axis(rho_hat)
@@ -334,11 +318,10 @@ def _classify_simulated(rho: DensityMatrix, config: ProtocolConfig, digest: dict
     rho_null = pinch(rho_hat, bloch_matrix(n))
 
     def stage1():
-        td_hat, m_t, md_t = td_stat(evolved(blocks), evolved(_dephased(blocks, n)), observe)
+        td_hat, m_t, md_t = td_stat(*stage1_marginals(blocks, n, phi), observe)
         # the null reruns the whole pipeline, projector tomography included
         null_axes = marginal_axis(sample_reconstructions(rho_null, settings2, shots, b, next(streams)))[0]
-        null_blocks = block_bloch(rho_null)
-        td_null, _, _ = td_stat(evolved(null_blocks), evolved(_dephased(null_blocks, null_axes)), replicate)
+        td_null, _, _ = td_stat(*stage1_marginals(block_bloch(rho_null), null_axes, phi), replicate)
         threshold = float(td_null.mean() + config.threshold_sigma * td_null.std())
         # parametric bootstrap around the two point estimates, for the error bar
         sigma = float(td_stat(m_t, md_t, replicate)[0].std())
@@ -348,9 +331,7 @@ def _classify_simulated(rho: DensityMatrix, config: ProtocolConfig, digest: dict
 
     def stage2():
         plate = bloch_rotation(half_wave_plate(config.hwp_angle))
-        rotated = np.array([_rotated(plate, w) for w in blocks])
-        marginals = [blocks[0] + blocks[1], rotated[0] + rotated[1], evolved(blocks), evolved(rotated)]
-        growth_hat, estimates = growth_stat(marginals, observe)
+        growth_hat, estimates = growth_stat(stage2_marginals(blocks, plate, phi), observe)
         sigma2 = float(growth_stat(estimates, replicate)[0].std())
         check_finite([growth_hat, sigma2], "stage-2 statistic")
         states = (_qubit_states(("rho_s_0_hat", "rho_s_u_0_hat", "rho_s_t_hat2", "rho_s_u_t_hat"), estimates)

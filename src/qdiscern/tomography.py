@@ -44,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (ESTIMATE_TRACE_TOL, HERM_TOL, PROB_DRIFT_TOL, DensityMatrix,
-                     hermiticity_defect, kron)
-from .witness import _components, bloch_matrix
+                     check_finite, hermiticity_defect, kron)
+from .witness import _components, bloch_matrix, pauli_bloch, vector_norm
 
 _KETS = {
     "H": np.array([1, 0], dtype=complex),
@@ -126,19 +126,22 @@ class TomographyRecord:
                              f"got {self.shots_per_setting!r}")
         if not _is_count(self.seed):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not self.settings:
-            raise ValueError("no measurement setting was given")
+        _qubits(self.settings)
+        sequence = (tuple, list)
+        if not (isinstance(self.counts, sequence) and all(isinstance(c, sequence) for c in self.counts)):
+            raise ValueError(f"counts must be one integer sequence per setting, got {self.counts!r}")
         if len(self.counts) != len(self.settings):
             raise ValueError(f"need one count tuple per setting, got {len(self.counts)} "
                              f"for {len(self.settings)}")
         for setting, c in zip(self.settings, self.counts):
-            if len(c) != len(setting.projectors):
+            if len(c) != 2 ** len(setting.label):
                 raise ValueError("counts shape does not match settings")
             if not all(map(_is_count, c)):
                 raise ValueError(f"counts must be non-negative integers, got {c!r}")
             if sum(c) != self.shots_per_setting:
                 raise ValueError("counts within a setting must sum to the shot budget")
         # plain Python ints: JSON-serializable, as in ProtocolConfig
+        object.__setattr__(self, "counts", tuple(tuple(c) for c in self.counts))
         object.__setattr__(self, "shots_per_setting", int(self.shots_per_setting))
         object.__setattr__(self, "seed", int(self.seed))
 
@@ -156,8 +159,7 @@ class TomographyRecord:
     @classmethod
     def from_json(cls, d: dict) -> "TomographyRecord":
         settings = tuple(MeasurementSetting(label) for label in d["settings"])
-        counts = tuple(tuple(c) for c in d["counts"])
-        return cls(settings, counts, d["shots"], d["seed"])
+        return cls(settings, d["counts"], d["shots"], d["seed"])
 
 
 @dataclass(frozen=True)
@@ -223,18 +225,21 @@ def bloch_estimates(settings, frequencies: np.ndarray) -> np.ndarray:
 
 def _unit_ball(r: np.ndarray) -> np.ndarray:
     """The physicality projection of Bloch vectors r (3, ...): r / max(|r|, 1)."""
-    return r / np.maximum(np.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2]), 1.0)
+    return r / np.maximum(vector_norm(r), 1.0)
 
 
-def _bloch(m: np.ndarray) -> np.ndarray:
-    """Bloch vectors (3, ...) of stacked (..., 2, 2) matrices, read like
-    eigvalsh from the diagonal's real part and the lower triangle."""
-    low = m[..., 1, 0]
-    return np.array([2.0 * low.real, 2.0 * low.imag, m[..., 0, 0].real - m[..., 1, 1].real])
-
-
-def _is_qubit(settings) -> bool:
-    return len(settings[0].label) == 1
+def _qubits(settings) -> int:
+    """The qubit count that every setting of a list measures, the one dispatch
+    between one and two qubits; ValueError for an empty list, an entry that
+    is not a MeasurementSetting, or mixed counts."""
+    if not settings:
+        raise ValueError("no measurement setting was given")
+    if not all(isinstance(s, MeasurementSetting) for s in settings):
+        raise ValueError(f"settings must be MeasurementSetting objects, got {settings!r}")
+    sizes = {len(s.label) for s in settings}
+    if len(sizes) > 1:
+        raise ValueError(f"settings measure {sorted(sizes)} qubits; one list measures one count")
+    return sizes.pop()
 
 
 def outcome_probabilities(rho_mat: np.ndarray, settings) -> list[np.ndarray]:
@@ -245,10 +250,11 @@ def outcome_probabilities(rho_mat: np.ndarray, settings) -> list[np.ndarray]:
     off 1 by more than PROB_DRIFT_TOL is drift there."""
     rho_mat = np.asarray(rho_mat)
     if rho_mat.shape[-1] == 2:
-        tr = rho_mat[..., 0, 0].real + rho_mat[..., 1, 1].real
+        m00, m10, m11 = rho_mat[..., 0, 0], rho_mat[..., 1, 0], rho_mat[..., 1, 1]
+        tr = m00.real + m11.real
         if np.abs(tr - 1.0).max() > PROB_DRIFT_TOL:
             raise ValueError(f"outcome probabilities drifted beyond tolerance: trace {tr}")
-        return bloch_probabilities(_bloch(rho_mat), settings)
+        return bloch_probabilities(pauli_bloch(m00, m10, m11), settings)
     rows = _rows(_labels(settings))
     vec = rho_mat.reshape(*rho_mat.shape[:-2], 1, rows.shape[1])
     # one row-vector product per state: a stacked (n, d*d) @ (d*d, M) product
@@ -279,13 +285,11 @@ def simulate_counts(rho, settings, shots: int, seed: int) -> TomographyRecord:
     as a batch of one of `sample_frequencies`. `rho` is a DensityMatrix or a (d, d) matrix."""
     if shots <= 0:
         raise ValueError("shots must be positive")
-    if not settings:
-        raise ValueError("no measurement setting was given")
     rho_mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    for setting in settings:
-        if 2 ** len(setting.label) != rho_mat.shape[-1]:
-            raise ValueError(f"setting {setting.label!r} measures {len(setting.label)} qubit(s), "
-                             f"but the state has dimension {rho_mat.shape[-1]}")
+    n_qubits = _qubits(settings)
+    if 2 ** n_qubits != rho_mat.shape[-1]:
+        raise ValueError(f"setting {settings[0].label!r} measures {n_qubits} qubit(s), "
+                         f"but the state has dimension {rho_mat.shape[-1]}")
     counts = _multinomial(outcome_probabilities(rho_mat, settings), shots, 1, seed)
     return TomographyRecord(tuple(settings), tuple(tuple(c[0].tolist()) for c in counts), shots, seed)
 
@@ -293,7 +297,7 @@ def simulate_counts(rho, settings, shots: int, seed: int) -> TomographyRecord:
 def linear_inversion(settings, frequencies: np.ndarray) -> np.ndarray:
     """Hermitian unit-trace estimates (..., d, d) from outcome frequencies
     (..., M) (may be unphysical)."""
-    if _is_qubit(settings):
+    if _qubits(settings) == 1:
         return bloch_matrix(bloch_estimates(settings, frequencies))
     pinv = _pinv(_labels(settings))
     freqs = np.asarray(frequencies, dtype=complex)
@@ -331,7 +335,8 @@ def _physical(h: np.ndarray) -> np.ndarray:
     tr = np.trace(h, axis1=-2, axis2=-1).real
     h = h / tr[..., None, None]
     if h.shape[-1] == 2:
-        return bloch_matrix(_unit_ball(_bloch(h)))
+        s = np.array(pauli_bloch(h[..., 0, 0], h[..., 1, 0], h[..., 1, 1]))
+        return bloch_matrix(_unit_ball(s))
     w, v = np.linalg.eigh(h)
     w = _truncate_rescale(w)
     w /= w.sum(axis=-1, keepdims=True)
@@ -341,6 +346,7 @@ def _physical(h: np.ndarray) -> np.ndarray:
 def project_to_physical(h: np.ndarray) -> DensityMatrix:
     """Nearest density matrix: clip negative eigenvalue mass, keep the trace."""
     h = np.asarray(h, dtype=complex)
+    check_finite(h, "matrix", ValueError)
     if hermiticity_defect(h) > HERM_TOL:
         raise ValueError("project_to_physical expects a Hermitian matrix")
     tr = h.trace().real
@@ -352,7 +358,7 @@ def project_to_physical(h: np.ndarray) -> DensityMatrix:
 
 def reconstruct_batch(settings, freqs: np.ndarray) -> np.ndarray:
     """Linear inversion + physicality projection of (..., M) frequencies."""
-    if _is_qubit(settings):
+    if _qubits(settings) == 1:
         return bloch_matrix(_unit_ball(bloch_estimates(settings, freqs)))
     return _physical(linear_inversion(settings, freqs))
 
@@ -390,7 +396,7 @@ def reconstruct(record: TomographyRecord, bootstrap_samples: int = 200) -> Recon
     if not _is_count(bootstrap_samples):
         raise ValueError(f"bootstrap_samples must be a non-negative integer, got {bootstrap_samples!r}")
     mat = reconstruct_batch(record.settings, record.frequencies())
-    estimate = DensityMatrix(mat, (2,) if _is_qubit(record.settings) else (2, 2))
+    estimate = DensityMatrix(mat, (2,) if _qubits(record.settings) == 1 else (2, 2))
     std_errors = None
     if bootstrap_samples > 0:
         replicas = sample_reconstructions(

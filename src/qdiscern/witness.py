@@ -17,23 +17,26 @@ trace keeps only the blocks X_e and U is block diagonal.
 Td and growth are one real quantity of the blocks' Bloch vectors, with no
 eigendecomposition. Write a traceless Hermitian block as h_e = w_e . sigma / 2.
 D_1 only rephases the entry [1, 0] of h_1, which rotates w_1 about z by
-R_phi, so sum_e D_e h_e D_e^dagger = (w_0 + R_phi w_1) . sigma / 2 and its
-trace distance is 1/2 |w_0 + R_phi w_1| (`_evolved_distance`). With r_e the
-Bloch vector of rho_e (`block_bloch`, Pauli coefficients, so
-rho_e = (tr rho_e + r_e . sigma) / 2):
+R_phi, so sum_e D_e h_e D_e^dagger = (w_0 + R_phi w_1) . sigma / 2
+(`evolved`) and its trace distance is 1/2 |w_0 + R_phi w_1|. With r_e the
+Bloch vector of rho_e (`block_bloch`, Pauli coefficients read by
+`pauli_bloch`, so rho_e = (tr rho_e + r_e . sigma) / 2):
 
 * Td: dephasing along the unit axis n of the system marginal's Bloch
-  vector b = r_0 + r_1 keeps (r_e . n) n, so the blocks of rho - pinch(rho)
-  have w_e = y_e = r_e - (r_e . n) n. n = b / |b| comes from the marginal's
-  eigenvector of the larger eigenvalue; the eigenvalue gap is |b|, and
-  below DEGENERACY_GAP n = z, the axis of |H><H| (`marginal_axis`);
-* growth: V rho_e V^dagger - rho_e has w_e = O_V r_e - r_e, where
-  O_ij = 1/2 tr(sigma_i V sigma_j V^dagger) is V's Bloch rotation
+  vector b = r_0 + r_1 keeps (r_e . n) n (`dephased`), so the blocks of
+  rho - pinch(rho) have w_e = y_e = r_e - (r_e . n) n. n = b / |b| comes
+  from the marginal's eigenvector of the larger eigenvalue; the eigenvalue
+  gap is |b|, and below DEGENERACY_GAP n = z, the axis of |H><H|
+  (`marginal_axis`);
+* growth: V rho_e V^dagger - rho_e has w_e = O_V r_e - r_e (`rotated`),
+  where O_ij = 1/2 tr(sigma_i V sigma_j V^dagger) is V's Bloch rotation
   (`bloch_rotation`), and growth is 1/2 |w_0 + R_phi w_1| - 1/2 |w_0 + w_1|,
   since sum_e (V rho_e V^dagger - rho_e) = V rho_S V^dagger - rho_S.
 
-The Bloch arrays are component-major, r (2, 3, ...), n (3, ...) and
-O (3, 3, ...), so that each component of a batch of one is a scalar.
+Each of these formulas is written once, here, for both modes, tomography and
+`kernels`; it takes 3-sequences of components and returns a tuple. The Bloch
+arrays are component-major, r (2, 3, ...), n (3, ...) and O (3, 3, ...), so
+that each component of a batch of one is a scalar.
 
 T needs the blocks off the environment diagonal as well. With
 x_ab = tr(sigma rho_ab) the complex Pauli vectors of rho_ab = <a|rho|b>_E
@@ -114,15 +117,55 @@ def _components(a: np.ndarray) -> np.ndarray:
     return a.transpose(-1, *range(a.ndim - 1))
 
 
+def pauli_bloch(m00, m10, m11) -> tuple:
+    """The Bloch vector (2 Re m10, 2 Im m10, Re m00 - Re m11) of a qubit
+    operator from its entries, read like eigvalsh from the diagonal's real
+    part and the lower triangle."""
+    return 2.0 * m10.real, 2.0 * m10.imag, m00.real - m11.real
+
+
 def block_bloch(rho: np.ndarray) -> np.ndarray:
     """Bloch vectors r (2, 3, ...) of the environment-diagonal blocks
-    rho_e = <e|rho|e> of stacked states (..., 4, 4), component-major: r[e] is
-    (2 Re rho_e[1, 0], 2 Im rho_e[1, 0], rho_e[0, 0] - rho_e[1, 1]), the
-    Pauli coefficients of rho_e, over the leading axes of rho."""
+    rho_e = <e|rho|e> of stacked states (..., 4, 4), component-major, over
+    the leading axes of rho."""
     f = _components(rho.reshape(*rho.shape[:-2], 16))  # f[4 i + j] = rho[i, j]
-    low0, low1 = f[8], f[13]  # rho_e[1, 0] = rho[2 + e, e]
-    return np.array([[2.0 * low0.real, 2.0 * low0.imag, f[0].real - f[10].real],
-                     [2.0 * low1.real, 2.0 * low1.imag, f[5].real - f[15].real]])
+    # rho_e[s, s'] = rho[2 s + e, 2 s' + e]
+    return np.array([pauli_bloch(f[0], f[8], f[10]), pauli_bloch(f[5], f[13], f[15])])
+
+
+def dot(a, b):
+    # x * x, not x ** 2: a one-row call squares numpy scalars, whose ** calls pow
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def vector_norm(a):
+    return np.sqrt(dot(a, a))
+
+
+def _minus(a, b) -> tuple:
+    return a[0] - b[0], a[1] - b[1], a[2] - b[2]
+
+
+def dephased(r, n) -> tuple:
+    """(r . n) n: the Bloch vector r after dephasing along the unit axis n."""
+    p = dot(r, n)
+    return p * n[0], p * n[1], p * n[2]
+
+
+def rotated(o, r) -> tuple:
+    """O r for a Bloch rotation o (3, 3, ...)."""
+    (rx, ry, rz), (ox, oy, oz) = r, o
+    return (ox[0] * rx + ox[1] * ry + ox[2] * rz, oy[0] * rx + oy[1] * ry + oy[2] * rz,
+            oz[0] * rx + oz[1] * ry + oz[2] * rz)
+
+
+def evolved(w0, w1, phi) -> tuple:
+    """w_0 + R_phi w_1, with R_phi the z rotation that D_1 induces (the entry
+    [1, 0] of D_1 x D_1^dagger is e^{-i phi} x_10); z is kept exactly."""
+    phi = np.asarray(phi, dtype=float)
+    cos, sin = np.cos(phi), np.sin(phi)
+    (x0, y0, z0), (x1, y1, z1) = w0, w1
+    return x0 + (cos * x1 + sin * y1), y0 + (cos * y1 - sin * x1), z0 + z1
 
 
 def marginal_axis(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -130,15 +173,16 @@ def marginal_axis(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     system marginal of stacked states (..., 4, 4), and |b| (...), that
     marginal's eigenvalue gap, from `bloch_axis`."""
     m00, _, m10, m11 = _components(partial_trace(rho, 0).reshape(*rho.shape[:-2], 4))
-    n, norm = bloch_axis(2.0 * m10.real, 2.0 * m10.imag, m00.real - m11.real)
+    n, norm = bloch_axis(pauli_bloch(m00, m10, m11))
     return np.array(n), norm
 
 
-def bloch_axis(bx, by, bz) -> tuple[tuple, np.ndarray]:
+def bloch_axis(b) -> tuple[tuple, np.ndarray]:
     """The unit axis n = b / |b|, as three components, and |b| of a Bloch
-    vector b with components bx, by, bz. Where |b| < DEGENERACY_GAP the
-    marginal is degenerate and n = z, the axis of |H><H|, by convention."""
-    norm = np.sqrt(bx * bx + by * by + bz * bz)
+    vector b (3, ...). Where |b| < DEGENERACY_GAP the marginal is degenerate
+    and n = z, the axis of |H><H|, by convention."""
+    bx, by, bz = b
+    norm = vector_norm(b)
     degenerate = norm < DEGENERACY_GAP
     den = np.where(degenerate, np.inf, norm)  # b / inf = 0 on the degenerate branch
     return (bx / den, by / den, bz / den + degenerate), norm
@@ -163,35 +207,10 @@ def bloch_rotation(v: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("iab,...bc,jcd,...ad->ij...", _PAULI, v, _PAULI, v.conj()).real
 
 
-def _evolved_distance(w0, w1, phi) -> np.ndarray:
-    """1/2 |w_0 + R_phi w_1| for the Bloch vectors w_e, each a 3-sequence of
-    components, of traceless environment-diagonal blocks, with R_phi the z
-    rotation that D_1 induces: the entry [1, 0] of D_1 x D_1^dagger is
-    e^{-i phi} x_10."""
-    phi = np.asarray(phi, dtype=float)
-    cos, sin = np.cos(phi), np.sin(phi)
-    x0, y0, z0 = w0
-    x1, y1, z1 = w1
-    x = x0 + (cos * x1 + sin * y1)
-    y = y0 + (cos * y1 - sin * x1)
-    z = z0 + z1
-    # x * x, not x ** 2: a one-row call squares numpy scalars, whose ** calls pow
-    return 0.5 * np.sqrt(x * x + y * y + z * z)
-
-
-def _dot(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
 def _transverse(r, n) -> list:
     """y_e = r_e - (r_e . n) n for the block Bloch vectors r (2, 3, ...) and
     the dephasing axis n (3, ...), each a 3-sequence of components."""
-    nx, ny, nz = n
-    y = []
-    for rx, ry, rz in r:
-        p = rx * nx + ry * ny + rz * nz
-        y.append((rx - p * nx, ry - p * ny, rz - p * nz))
-    return y
+    return [_minus(w, dephased(w, n)) for w in r]
 
 
 def _plane_null(n):
@@ -210,33 +229,32 @@ def t_bloch(r, n, q=None) -> tuple[np.ndarray, np.ndarray]:
     vectors r (2, 3, ...), the dephasing axis n (3, ...) and the complex Pauli
     vector q (3, ...) of the block rho_01, None where rho_01 = 0."""
     y0, y1 = _transverse(r, n)
-    a0, a1 = _dot(y0, y0), _dot(y1, y1)
+    a0, a1 = dot(y0, y0), dot(y1, y1)
     if q is None:  # 2C = diag(m . y_0, m . y_1), and |m . y_e| = |y_e|
         frob2, det = a0 + a1, np.sqrt(a0 * a1)
     else:
         (pq,) = _transverse((q,), n)
         pq_bar = [c.conj() for c in pq]
         m = _plane_null(n)
-        frob2 = a0 + a1 + 2.0 * _dot(pq, pq_bar).real
-        det = np.abs(_dot(m, y0) * _dot(m, y1) - _dot(m, pq) * _dot(m, pq_bar))
+        frob2 = a0 + a1 + 2.0 * dot(pq, pq_bar).real
+        det = np.abs(dot(m, y0) * dot(m, y1) - dot(m, pq) * dot(m, pq_bar))
     return check_finite(0.5 * np.sqrt(frob2 + 2.0 * det), "discord T"), frob2
 
 
 def td_bloch(r, n, phi) -> np.ndarray:
     """Td from block Bloch vectors r (2, 3, ...) and the dephasing axis n
-    (3, ...): the evolved distance of y_e = r_e - (r_e . n) n."""
-    return check_finite(_evolved_distance(*_transverse(r, n), phi), "witness Td")
+    (3, ...): 1/2 |y_0 + R_phi y_1| with y_e = r_e - (r_e . n) n."""
+    return check_finite(0.5 * vector_norm(evolved(*_transverse(r, n), phi)), "witness Td")
 
 
 def growth_bloch(r: np.ndarray, o: np.ndarray, phi) -> np.ndarray:
     """Growth from block Bloch vectors r (2, 3, ...) and the Bloch rotation
-    o (3, 3, ...) of the system unitary: the evolved distance of
-    w_e = O r_e - r_e at phi minus the one at phi = 0."""
-    w = [[oi[0] * rx + oi[1] * ry + oi[2] * rz - ri for oi, ri in zip(o, (rx, ry, rz))]
-         for rx, ry, rz in r]
-    x, y, z = (a + b for a, b in zip(*w))
-    at_zero = 0.5 * np.sqrt(x * x + y * y + z * z)
-    return check_finite(_evolved_distance(*w, phi) - at_zero, "growth witness")
+    o (3, 3, ...) of the system unitary: 1/2 |w_0 + R_phi w_1| - 1/2 |w_0 + w_1|
+    with w_e = O r_e - r_e."""
+    w = [_minus(rotated(o, v), v) for v in r]
+    (x0, y0, z0), (x1, y1, z1) = w
+    at_zero = 0.5 * vector_norm((x0 + x1, y0 + y1, z0 + z1))
+    return check_finite(0.5 * vector_norm(evolved(*w, phi)) - at_zero, "growth witness")
 
 
 def td_error_bound(norm: np.ndarray) -> np.ndarray:

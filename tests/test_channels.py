@@ -41,6 +41,10 @@ class TestProjectorType:
         with pytest.raises(ValueError, match="Hermitian"):
             Projector(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
+    def test_rejects_non_finite_entries(self):
+        with pytest.raises(ValueError, match="not finite"):
+            Projector(np.full((2, 2), np.nan))
+
 
 class TestSystemEigenprojector:
     def test_cc_diagonal_marginal(self):
@@ -241,6 +245,10 @@ class TestApplyLocalSystem:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
             apply_local_system(make_cc(0.5), np.diag([1.0, 0.5]))
+
+    def test_rejects_a_non_finite_plate(self):
+        with pytest.raises(ValueError, match="not finite"):
+            apply_local_system(make_cc(0.5), half_wave_plate(np.nan))
 
     def test_invertible(self):
         rng = np.random.default_rng(26)

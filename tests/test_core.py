@@ -11,7 +11,8 @@ import oracle
 from qdiscern import kernels
 from qdiscern.channels import eigenprojectors, evolve, half_wave_plate, pinch, rotate
 from qdiscern.linalg import DEGENERACY_GAP, DensityMatrix, partial_trace
-from qdiscern.protocol import VERDICT_QC, ProtocolConfig, _dephased, _rotated, classify, growth_stat, td_stat
+from qdiscern.protocol import (VERDICT_QC, ProtocolConfig, classify, growth_stat, stage1_marginals, stage2_marginals,
+                               td_stat)
 from qdiscern.states import FamilyParams, qc_matrices
 from qdiscern.witness import (block_bloch, bloch_matrix, bloch_rotation, discord_T, discord_values,
                               growth_values, marginal_axis, td_values)
@@ -129,17 +130,12 @@ def _bloch(m):
     return np.array([2 * m[..., 1, 0].real, 2 * m[..., 1, 0].imag, m[..., 0, 0].real - m[..., 1, 1].real])
 
 
-def _evolved(w, phi):
-    """w_0 + R_phi w_1, as simulated mode computes it."""
-    return w[0] + _rotated(bloch_rotation(np.diag([np.exp(1j * phi), 1.0])), w[1])
-
-
 def _stage1_marginals(rhos, phi):
     """The Bloch vectors of the evolved system marginals of rhos and of
     rhos pinched along their marginal axis, as simulated mode computes them,
     and through the 4x4 matrices."""
-    blocks, n_hat = block_bloch(rhos), marginal_axis(rhos)[0]
-    bloch = _evolved(blocks, phi), _evolved(_dephased(blocks, n_hat), phi)
+    n_hat = marginal_axis(rhos)[0]
+    bloch = stage1_marginals(block_bloch(rhos), n_hat, phi)
     dephased = pinch(rhos, bloch_matrix(n_hat))
     matrix = _bloch(partial_trace(evolve(rhos, phi), 0)), _bloch(partial_trace(evolve(dephased, phi), 0))
     return bloch, matrix
@@ -148,9 +144,7 @@ def _stage1_marginals(rhos, phi):
 def _stage2_marginals(rhos, v, phi):
     """The Bloch vectors of the system marginals of (rho, rho_u, rho(t),
     rho_u(t)), as simulated mode computes them, and through the 4x4 matrices."""
-    blocks, plate = block_bloch(rhos), bloch_rotation(v)
-    rotated = np.array([_rotated(plate, w) for w in blocks])
-    bloch = [blocks[0] + blocks[1], rotated[0] + rotated[1], _evolved(blocks, phi), _evolved(rotated, phi)]
+    bloch = stage2_marginals(block_bloch(rhos), bloch_rotation(v), phi)
     rho_u = rotate(rhos, v)
     matrix = [_bloch(partial_trace(s, 0)) for s in (rhos, rho_u, evolve(rhos, phi), evolve(rho_u, phi))]
     return bloch, matrix

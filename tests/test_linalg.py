@@ -12,8 +12,10 @@ from qdiscern.linalg import (
     partial_trace,
     trace_distance,
     trace_distances,
-    trace_norm,
+    system_unitary,
+    two_qubit,
 )
+from qdiscern.protocol import ProtocolConfig, classify
 from qdiscern.states import make_cc, make_f, make_qc
 from random_states import random_density, random_unitary
 
@@ -119,18 +121,8 @@ class TestTraceDistance:
 
 
 class TestTraceNorm:
-    @pytest.mark.parametrize("trace", [0.0, 0.7, -1.3])
-    def test_2x2_closed_form_equals_eigenvalue_sum(self, trace):
-        rng = np.random.default_rng(15)
-        g = rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2))
-        h = g + np.swapaxes(g.conj(), -1, -2)
-        h += (trace - np.trace(h, axis1=-2, axis2=-1).real)[:, None, None] / 2 * np.eye(2)
-        want = np.abs(np.linalg.eigvalsh(h)).sum(axis=-1)
-        assert_allclose(trace_norm(h), want, rtol=0, atol=1e-12)
-
     def test_stacked_call_equals_one_pair_calls(self):
-        # a one-pair call squares numpy scalars, a stacked call squares arrays;
-        # both must round alike for td_stat and growth_stat to be batches of one
+        # a stacked eigvalsh call must round each pair as a one-pair call does
         rng = np.random.default_rng(0)
         g = rng.normal(size=(2, 20_000, 2, 2)) + 1j * rng.normal(size=(2, 20_000, 2, 2))
         a, b = g + np.swapaxes(g.conj(), -1, -2)
@@ -159,6 +151,27 @@ class TestDensityMatrixValidation:
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError, match="dims"):
             DensityMatrix(np.eye(4) / 4, (2, 3))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0, np.nan)], ids=["nan", "inf", "imag-nan"])
+    def test_rejects_non_finite_entries(self, entry):
+        # a NaN makes every `defect > TOL` check False, so each would pass it
+        m = np.eye(4, dtype=complex) / 4
+        m[2, 3] = m[3, 2] = entry
+        with pytest.raises(ValueError, match="not finite"):
+            DensityMatrix(m, (2, 2))
+        blob = json.loads(json.dumps(matrix_to_json(m)))
+        with pytest.raises(ValueError, match="not finite"):
+            DensityMatrix.from_json(dict(blob, dims=[2, 2]))
+
+    def test_two_qubit_rejects_a_plain_array(self):
+        with pytest.raises(ValueError, match="DensityMatrix"):
+            two_qubit(np.eye(4) / 4)
+        with pytest.raises(ValueError, match="DensityMatrix"):
+            classify(np.eye(4) / 4, ProtocolConfig())
+
+    def test_system_unitary_rejects_non_finite_entries(self):
+        with pytest.raises(ValueError, match="not finite"):
+            system_unitary(np.diag([1.0, np.nan]))
 
 
 class TestSerialization:

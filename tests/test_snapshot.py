@@ -5,7 +5,9 @@ snapshot in tests/data/sim_snapshot.json.
 Counts must be identical; floats and emitted matrices must agree within
 FLOAT_TOL, because batched and one-at-a-time linear algebra may round
 differently. The `emit_cases` rerun the first seeds with emit_states set and
-also pin the estimated states; emitting states must not change the run.
+also pin the estimated states; emitting states must not change the run. The
+`phase_cases` do the same at PHASE_PHI, off phi = pi, where the phase gate's
+Bloch rotation mixes x and y.
 
 Regenerate the snapshot (only on purpose, when the seed-stream contract
 changes) with:  PYTHONPATH=src python tests/test_snapshot.py
@@ -32,7 +34,9 @@ FLOATS = ("td_value", "td_sigma", "growth_value", "growth_sigma",
           "stage1_threshold", "stage2_threshold")
 EMIT_SEEDS = range(10)
 EMIT = {"emit_states": True}
-SECTIONS = ("cases", "emit_cases")
+PHASE_SEEDS = range(5)
+PHASE_PHI = 2.55
+SECTIONS = ("cases", "emit_cases", "phase_cases")
 
 
 _default_rng = np.random.default_rng
@@ -140,6 +144,13 @@ def test_runs_with_emitted_states_match_snapshot(params, snapshot):
 
 
 @pytest.mark.parametrize("params", STATES, ids=lambda p: p.family)
+def test_runs_off_phi_pi_match_snapshot(params, snapshot):
+    for seed in PHASE_SEEDS:
+        _check(run_case(params, seed, phi=PHASE_PHI, **EMIT),
+               snapshot["phase_cases"][(params.family, seed)], (params, seed))
+
+
+@pytest.mark.parametrize("params", STATES, ids=lambda p: p.family)
 def test_every_experiment_draws_into_the_count_hash(params):
     # 8 experiment streams per run, 16 when stage 2 runs, each drawing one
     # multinomial per setting: a draw made another way would leave its
@@ -213,6 +224,7 @@ def generate() -> dict:
         "shots": SHOTS, "bootstrap_samples": BOOTSTRAP,
         "cases": [run_case(p, s) for p in STATES for s in SEEDS],
         "emit_cases": [run_case(p, s, **EMIT) for p in STATES for s in EMIT_SEEDS],
+        "phase_cases": [run_case(p, s, phi=PHASE_PHI, **EMIT) for p in STATES for s in PHASE_SEEDS],
     }
 
 

@@ -26,7 +26,7 @@ from qdiscern.tomography import (
     sample_reconstructions,
     simulate_counts,
 )
-from qdiscern.witness import bloch_matrix
+from qdiscern.witness import bloch_matrix, pauli_bloch
 from random_states import random_density
 
 KET_H_STATE = DensityMatrix(np.diag([1.0, 0.0]).astype(complex), (2,))
@@ -165,6 +165,30 @@ class TestSimulateCounts:
     def test_record_without_settings_rejected(self):
         with pytest.raises(ValueError, match="no measurement setting was given"):
             TomographyRecord((), (), 100, 3)
+
+    @pytest.mark.parametrize("settings_,counts,message", [
+        ((MeasurementSetting("Z"), MeasurementSetting("ZZ")), ((5, 5), (1, 2, 3, 4)), "qubits"),
+        (("Z",), ((5, 5),), "MeasurementSetting"),
+        ((MeasurementSetting("Z"),), (10,), "integer sequence"),
+        ((MeasurementSetting("Z"),), 10, "integer sequence"),
+    ], ids=["mixed-qubit-counts", "str-setting", "int-count-entry", "int-counts"])
+    def test_malformed_record_rejected(self, settings_, counts, message):
+        with pytest.raises(ValueError, match=message):
+            TomographyRecord(settings_, counts, 10, 0)
+
+    @pytest.mark.parametrize("counts", [[10], 10], ids=["int-count-entry", "int-counts"])
+    def test_non_sequence_counts_rejected_from_json(self, counts):
+        with pytest.raises(ValueError, match="integer sequence"):
+            TomographyRecord.from_json({"settings": ["Z"], "counts": counts, "shots": 10, "seed": 0})
+
+    def test_mixed_qubit_counts_rejected_by_the_dispatch(self):
+        settings_ = [MeasurementSetting("Z"), MeasurementSetting("ZZ")]
+        freqs = np.full(6, 0.5)
+        for call in (linear_inversion, reconstruct_batch):
+            with pytest.raises(ValueError, match="qubits"):
+                call(settings_, freqs)
+        with pytest.raises(ValueError, match="MeasurementSetting"):
+            linear_inversion(["Z", "X", "Y"], freqs)
 
     def test_invalid_probabilities_rejected(self):
         bad = np.diag([1.5, -0.5]).astype(complex)
@@ -315,7 +339,7 @@ class TestBlochCore:
 
     def test_matrix_callers_take_the_bloch_path(self):
         rho = random_density(np.random.default_rng(54), 2).mat
-        s, settings_ = tomography._bloch(rho), default_settings(1)
+        s, settings_ = np.array(pauli_bloch(rho[0, 0], rho[1, 0], rho[1, 1])), default_settings(1)
         assert np.array_equal(sample_reconstructions(rho, settings_, 1000, 30, 5),
                               bloch_matrix(sample_bloch(s, settings_, 1000, 30, 5)))
         freqs = sample_frequencies(bloch_probabilities(s, settings_), 50, 30, 6)
@@ -345,6 +369,13 @@ class TestLinearInversion:
 
 
 class TestProjectToPhysical:
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_rejects_non_finite_entries(self, d):
+        h = np.eye(d, dtype=complex) / d
+        h[0, 1] = h[1, 0] = np.nan
+        with pytest.raises(ValueError, match="not finite"):
+            project_to_physical(h)
+
     def test_valid_state_unchanged(self):
         rho = make_qc(0.6, 1.0)
         out = project_to_physical(rho.mat)

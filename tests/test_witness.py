@@ -130,6 +130,18 @@ class TestPhaseScaling:
                         rtol=0, atol=1e-15)
 
 
+def test_evolved_is_the_phase_gates_bloch_rotation():
+    # the cos/sin form of w_0 + R_phi w_1 against R_phi = bloch_rotation(D_1);
+    # the form keeps z exactly, where the rotation's R_zz may be 1 - 2^-53
+    rng = np.random.default_rng(7)
+    phis = rng.uniform(-10, 10, 2000)
+    w0, w1 = rng.normal(size=(2, 3, 2000))
+    got = np.array(witness.evolved(w0, w1, phis))
+    gate = witness.bloch_rotation(np.array([np.diag([np.exp(1j * p), 1.0]) for p in phis]))
+    assert_allclose(got, w0 + np.einsum("ijn,jn->in", gate, w1), rtol=0, atol=1e-14)
+    assert np.array_equal(got[2], w0[2] + w1[2])
+
+
 class TestWitnessGrowth:
     def test_cc_golden_value(self):
         v = half_wave_plate(np.pi / 8)
@@ -142,6 +154,11 @@ class TestWitnessGrowth:
         assert abs(oracle.growth(oracle.fact(0.65), oracle.hwp(np.pi / 8), np.pi)
                    - GOLD_GROWTH_F_065) < 1e-12
         assert abs(witness_growth(make_f(0.65), v, np.pi).value - GOLD_GROWTH_F_065) < 1e-9
+
+    def test_non_finite_plate_is_invalid_input(self):
+        # ValueError, the exit-2 class, not the NumericalError of a failed computation
+        with pytest.raises(ValueError, match="not finite"):
+            witness_growth(make_cc(0.64), half_wave_plate(np.nan), 1.0)
 
     def test_identity_rotation_gives_zero(self):
         rng = np.random.default_rng(35)
