@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (_EYE2, DEGENERACY_GAP, HERM_TOL, IDEMPOTENCY_TOL, TRACE_TOL, DensityMatrix,
-                     check_finite, hermiticity_defect, lift, system_unitary, two_qubit)
+from .linalg import (_EYE2, HERM_TOL, IDEMPOTENCY_TOL, TRACE_TOL, DensityMatrix, check_finite,
+                     check_finite_real, hermiticity_defect, lift, system_unitary, two_qubit)
 from .witness import bloch_matrix, marginal_axis
 
 
@@ -54,7 +54,9 @@ def _gate_diagonal(phi) -> np.ndarray:
 
 
 def phase_gate(phi: float) -> np.ndarray:
-    """U(phi) = 1 x |0><0| + Diag(e^{i phi}, 1) x |1><1| (system first)."""
+    """U(phi) = 1 x |0><0| + Diag(e^{i phi}, 1) x |1><1| (system first);
+    ValueError unless phi is a finite real number."""
+    check_finite_real("phi", phi)
     return np.diag(_gate_diagonal(phi))
 
 
@@ -64,12 +66,12 @@ def eigenprojectors(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The leading eigenvector's Bloch vector is the marginal's axis
     n = b / |b| (`marginal_axis`), and the eigenvalue gap is |b|, so no
-    eigendecomposition runs. A degenerate marginal, |b| < DEGENERACY_GAP, has
-    no preferred eigenbasis; by convention it gets |H><H| (n = z). The
-    projectors are complex for every input dtype.
+    eigendecomposition runs. A degenerate marginal, as `witness.bloch_axis`
+    flags it, has no preferred eigenbasis; by convention it gets |H><H|
+    (n = z). The projectors are complex for every input dtype.
     """
-    n, norm = marginal_axis(rho)
-    return bloch_matrix(n), norm < DEGENERACY_GAP
+    n, _, degenerate = marginal_axis(rho)
+    return bloch_matrix(n), degenerate
 
 
 def pinch(rho: np.ndarray, projs: np.ndarray) -> np.ndarray:
@@ -103,14 +105,16 @@ def dephase(rho_se: DensityMatrix, proj: Projector) -> DensityMatrix:
     r = two_qubit(rho_se)
     if proj.matrix.shape != (2, 2):
         raise ValueError("projector dimension does not match the system factor")
-    return DensityMatrix(pinch(r, proj.matrix), rho_se.dims)
+    return DensityMatrix(pinch(r, proj.matrix))
 
 
 def phase_gate_evolve(rho_se: DensityMatrix, phi: float) -> DensityMatrix:
-    """Conjugate by the conditional phase gate U(phi)."""
-    return DensityMatrix(evolve(two_qubit(rho_se), phi), rho_se.dims)
+    """Conjugate by the conditional phase gate U(phi); ValueError unless phi
+    is a finite real number."""
+    check_finite_real("phi", phi)
+    return DensityMatrix(evolve(two_qubit(rho_se), phi))
 
 
 def apply_local_system(rho_se: DensityMatrix, v: np.ndarray) -> DensityMatrix:
     """(V x 1) rho (V^dagger x 1); leaves the environment marginal unchanged."""
-    return DensityMatrix(rotate(two_qubit(rho_se), system_unitary(v)), rho_se.dims)
+    return DensityMatrix(rotate(two_qubit(rho_se), system_unitary(v)))

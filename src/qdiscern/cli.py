@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import kernels
-from .linalg import NumericalError, is_finite_real
+from .linalg import NumericalError, check_finite_real
 from .protocol import ProtocolConfig, classify
 from .states import FamilyParams
 from .witness import td_values
@@ -41,11 +41,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _check_finite(name: str, *values):
-    if not all(map(is_finite_real, values)):
-        raise ValueError(f"not a finite number: {name} = {', '.join(map(repr, values))}")
-
-
 def _parse_grid(text: str) -> np.ndarray:
     try:
         start, stop, count = text.split(":")
@@ -54,7 +49,7 @@ def _parse_grid(text: str) -> np.ndarray:
             raise ValueError
     except ValueError:
         raise ValueError(f"grid must be start:stop:count with count >= 2, got {text!r}")
-    _check_finite("grid endpoints", start, stop)
+    check_finite_real("grid endpoints", start, stop)
     return np.linspace(start, stop, count)
 
 
@@ -64,7 +59,7 @@ def _parse_phis(text: str) -> tuple:
         phis = tuple(float(p) for p in text.split(","))
     except ValueError:
         raise ValueError(f"phis must be comma-separated numbers, got {text!r}")
-    _check_finite("phis", *phis)
+    check_finite_real("phis", *phis)
     return phis
 
 
@@ -132,7 +127,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    defaults = {"phi": float(np.pi), "hwp_angle": float(np.pi / 8), "quantity": "all"}
+    defaults = {"phi": _CONFIG_DEFAULTS["phi"], "hwp_angle": _CONFIG_DEFAULTS["hwp_angle"], "quantity": "all"}
     opts = _resolve(args, defaults)
     lams = _parse_grid(args.lambda_grid)
     thetas = _parse_grid(args.theta_grid)
@@ -142,8 +137,8 @@ def cmd_sweep(args) -> int:
     if quantity not in SWEEP_QUANTITIES:
         raise ValueError(f"quantity must be one of {', '.join(SWEEP_QUANTITIES)}, got {quantity!r}")
     phi = opts["phi"]
-    _check_finite("phi", phi)
-    _check_finite("hwp_angle", opts["hwp_angle"])
+    check_finite_real("phi", phi)
+    check_finite_real("hwp_angle", opts["hwp_angle"])
 
     # chunks of whole lambda rows, about SWEEP_CHUNK_POINTS points (at least one row)
     chunk_rows = max(1, SWEEP_CHUNK_POINTS // len(thetas))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import half_wave_plate
-from .linalg import CROSS_CHECK_TOL, DEGENERACY_GAP, NumericalError
+from .linalg import CROSS_CHECK_TOL, NumericalError
 from .witness import bloch_axis, bloch_rotation, growth_bloch, t_bloch, td_bloch
 
 BACKEND = "numpy"
@@ -38,9 +38,8 @@ def t_qc_grid(lams, thetas) -> np.ndarray:
     """
     lams, r, bz = _blocks(lams, thetas)
     bx = r[1][0]
-    n, norm = bloch_axis((bx, 0.0, bz))
+    n, norm, deg = bloch_axis((bx, 0.0, bz))
     t = t_bloch(r, n)[0]
-    deg = norm < DEGENERACY_GAP
     alt = np.where(deg, 0.5, lams) * np.abs(bx) / np.where(deg, 1.0, norm)
     if np.any(np.abs(t - alt) > CROSS_CHECK_TOL):
         raise NumericalError(f"discord forms disagree: {t} vs {alt}")

@@ -1,8 +1,10 @@
-"""Dense complex linear algebra for small bipartite systems.
+"""Dense complex linear algebra for one qubit and for a system qubit with an
+environment qubit.
 
 Everything here operates on plain numpy arrays, stacked along leading axes
-where noted; `DensityMatrix` is a thin validated wrapper carrying the
-subsystem dimensions (system first, environment second).
+where noted; `DensityMatrix` is a thin validated wrapper of a 2x2 (one qubit)
+or 4x4 (system first, environment second) matrix, whose shape fixes its
+subsystems (`check_state_shape`).
 """
 
 from __future__ import annotations
@@ -40,9 +42,35 @@ def check_finite(values, what: str, error: type[Exception] = NumericalError) -> 
     return values
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def is_finite_real(v) -> bool:
     """True for a finite real number that is not a bool."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    return _is_real(v) and math.isfinite(v)
+
+
+def is_count(n) -> bool:
+    """Whether n is a non-negative integer; bool is not a count."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 0
+
+
+def check_finite_real(name: str, *values):
+    """ValueError naming `name` unless every value is a finite real number
+    that is not a bool."""
+    if not all(map(is_finite_real, values)):
+        raise ValueError(f"not a finite number: {name} = {', '.join(map(repr, values))}")
+
+
+def json_field(d, key: str):
+    """d[key] of a JSON object; ValueError naming the key if d is not an
+    object or has no such key."""
+    if not isinstance(d, dict):
+        raise ValueError(f"expected a JSON object with key {key!r}, got {type(d).__name__}")
+    if key not in d:
+        raise ValueError(f"missing key {key!r}")
+    return d[key]
 
 
 def _as_array(m) -> np.ndarray:
@@ -56,23 +84,28 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
+_DIMS = {(2, 2): (2,), (4, 4): (2, 2)}  # the subsystems that each state shape fixes
+
+
+def check_state_shape(m: np.ndarray, what: str) -> np.ndarray:
+    """m, if it is 2x2 (one qubit) or 4x4 (system x environment); ValueError otherwise."""
+    if m.shape not in _DIMS:
+        raise ValueError(f"{what} must be a square 2x2 or 4x4 matrix, got shape {m.shape}")
+    return m
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, PSD, unit-trace matrix with subsystem dimension metadata."""
+    """Hermitian, PSD, unit-trace matrix: 2x2 for one qubit, 4x4 for a system
+    qubit and an environment qubit (system first). The shape fixes the
+    subsystems; `dims` reports them."""
 
     mat: np.ndarray
-    dims: tuple[int, ...] = (2, 2)
 
     def __post_init__(self):
-        mat = np.array(self.mat, dtype=complex)
+        mat = check_state_shape(np.array(self.mat, dtype=complex), "density matrix")
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        n = mat.shape[0]
-        if mat.ndim != 2 or mat.shape[1] != n:
-            raise ValueError(f"density matrix must be square, got shape {mat.shape}")
-        if math.prod(self.dims) != n:
-            raise ValueError(f"dims {self.dims} incompatible with dimension {n}")
         check_finite(mat, "density matrix", ValueError)
         defect = hermiticity_defect(mat)
         if defect > HERM_TOL:
@@ -84,6 +117,11 @@ class DensityMatrix:
         if wmin < -PSD_TOL:
             raise ValueError(f"matrix is not positive semidefinite (min eig {wmin:.3e})")
 
+    @property
+    def dims(self) -> tuple[int, ...]:
+        """(2,) for one qubit, (2, 2) for system x environment: the shape fixes them."""
+        return _DIMS[self.mat.shape]
+
     def to_json(self) -> dict:
         d = matrix_to_json(self.mat)
         d["dims"] = list(self.dims)
@@ -91,7 +129,10 @@ class DensityMatrix:
 
     @classmethod
     def from_json(cls, d: dict) -> "DensityMatrix":
-        return cls(matrix_from_json(d), tuple(d["dims"]))
+        rho, dims = cls(matrix_from_json(d)), json_field(d, "dims")
+        if dims != list(rho.dims):
+            raise ValueError(f"dims {dims!r} do not match a state of shape {rho.mat.shape}")
+        return rho
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -105,10 +146,16 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(d: dict) -> np.ndarray:
-    rows, cols = int(d["rows"]), int(d["cols"])
-    entries = d["entries"]
-    if len(entries) != rows * cols:
+    """The matrix of `matrix_to_json`'s output; ValueError naming the key or
+    the entry that is missing or malformed."""
+    rows, cols, entries = (json_field(d, key) for key in ("rows", "cols", "entries"))
+    if not (is_count(rows) and is_count(cols)):
+        raise ValueError(f"rows and cols must be non-negative integers, got {rows!r}, {cols!r}")
+    if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ValueError("entries length does not match rows*cols")
+    for i, z in enumerate(entries):
+        if not (isinstance(z, (list, tuple)) and len(z) == 2 and all(map(_is_real, z))):
+            raise ValueError(f"entries[{i}] must be a [real, imag] pair of numbers, got {z!r}")
     flat = np.array([complex(re, im) for re, im in entries])
     return flat.reshape(rows, cols)
 
@@ -142,16 +189,15 @@ def system_unitary(v) -> np.ndarray:
 
 
 def two_qubit(rho: DensityMatrix) -> np.ndarray:
-    """The (4, 4) matrix of a DensityMatrix with dims (2, 2); ValueError for anything else."""
-    if not isinstance(rho, DensityMatrix):
-        raise ValueError(f"expected a DensityMatrix, got {type(rho).__name__}")
-    if rho.dims != (2, 2):
-        raise ValueError(f"expected a 2x2-subsystem bipartite state, dims {rho.dims}")
+    """The (4, 4) matrix of a system x environment DensityMatrix; ValueError otherwise."""
+    if not (isinstance(rho, DensityMatrix) and rho.mat.shape == (4, 4)):
+        raise ValueError(f"expected a 2x2-subsystem bipartite DensityMatrix, got a "
+                         f"{type(rho).__name__} of shape {np.shape(getattr(rho, 'mat', rho))}")
     return rho.mat
 
 
 def partial_trace(rho, keep: int):
-    """Marginal of a bipartite state on subsystem `keep` (0 = system).
+    """Marginal of a two-qubit state on subsystem `keep` (0 = system).
 
     A DensityMatrix gives a validated DensityMatrix. A stacked (..., 4, 4)
     two-qubit array gives the unvalidated (..., 2, 2) marginals.
@@ -159,16 +205,11 @@ def partial_trace(rho, keep: int):
     if keep not in (0, 1):
         raise ValueError(f"keep must be 0 or 1, got {keep}")
     wrapped = isinstance(rho, DensityMatrix)
-    dims = rho.dims if wrapped else (2, 2)
-    if len(dims) != 2:
-        raise ValueError(f"partial_trace needs a bipartite state, dims {dims}")
-    m = rho.mat if wrapped else np.asarray(rho)
-    d0, d1 = dims
-    t = m.reshape(*m.shape[:-2], d0, d1, d0, d1)
+    m = two_qubit(rho) if wrapped else np.asarray(rho)
+    t = m.reshape(*m.shape[:-2], 2, 2, 2, 2)
     # the diagonal slices added in order: the same floats as np.trace, without its reduction
-    terms = [t[..., :, k, :, k] for k in range(d1)] if keep == 0 else [t[..., k, :, k, :] for k in range(d0)]
-    marg = sum(terms[1:], terms[0])
-    return DensityMatrix(marg, (dims[keep],)) if wrapped else marg
+    marg = t[..., :, 0, :, 0] + t[..., :, 1, :, 1] if keep == 0 else t[..., 0, :, 0, :] + t[..., 1, :, 1, :]
+    return DensityMatrix(marg) if wrapped else marg
 
 
 def trace_norm(m):

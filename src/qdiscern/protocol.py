@@ -16,8 +16,11 @@ stage 2 ran.
 Exact mode computes both witnesses from the Bloch vectors of the state's two
 environment blocks (`witness.block_bloch`) and runs no eigendecomposition:
 the dephasing axis is n = b / |b| for the Bloch vector b of the system
-marginal, and a marginal with |b| < DEGENERACY_GAP is degenerate and takes
-n = z. Stage 2 fires when growth > exact_epsilon; growth needs no n. Stage 1
+marginal, and a marginal that `witness.bloch_axis` flags degenerate (|b|
+below the degeneracy gap) takes n = z. Its emitted marginals are the qubit
+states of the same Bloch vectors that simulated mode measures
+(`stage1_marginals`, `stage2_marginals`), and rho_s_0 is the input's own
+system marginal. Stage 2 fires when growth > exact_epsilon; growth needs no n. Stage 1
 fires only when Td > exact_epsilon + beta, where beta is Td's forward-error
 bound, so that a QC verdict holds for every state within three units of
 roundoff of the input's entries as well. thresholds_used["stage1_threshold"]
@@ -95,8 +98,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channels import evolve, half_wave_plate, pinch, rotate
-from .linalg import DEGENERACY_GAP, DensityMatrix, check_finite, is_finite_real, partial_trace, two_qubit
+from .channels import half_wave_plate, pinch
+from .linalg import DensityMatrix, check_finite, is_finite_real, partial_trace, two_qubit
 from .states import FamilyParams
 from .tomography import default_settings, sample_bloch, sample_reconstructions
 from .witness import (CORRELATION_WITNESS, DISCORD_WITNESS, WitnessReport, block_bloch, bloch_matrix,
@@ -205,11 +208,6 @@ def classify_simulated(params: FamilyParams, config: ProtocolConfig) -> Classifi
     return classify(params.build(), config, digest=params.to_json())
 
 
-def _marginals(**states) -> dict:
-    """Validated system marginals of named (4, 4) states, for the caller."""
-    return {k: DensityMatrix(partial_trace(v, 0), (2,)) for k, v in states.items()}
-
-
 def _cascade(config: ProtocolConfig, digest: dict, degenerate: bool, states: dict,
              stage1, stage2) -> ClassificationResult:
     """The decision policy of both modes: a stage fires when its value
@@ -238,24 +236,23 @@ def _cascade(config: ProtocolConfig, digest: dict, degenerate: bool, states: dic
 def _classify_exact(rho: DensityMatrix, config: ProtocolConfig, digest: dict) -> ClassificationResult:
     r = two_qubit(rho)
     bloch = block_bloch(r)
-    n, norm = marginal_axis(r)
+    n, norm, degenerate = marginal_axis(r)
     phi, eps, emit = config.phi, config.exact_epsilon, config.emit_states
 
     def stage1():
-        states = (_marginals(rho_s_t=evolve(r, phi), rho_s_d_t=evolve(pinch(r, bloch_matrix(n)), phi))
-                  if emit else {})
+        states = _qubit_states(("rho_s_t", "rho_s_d_t"), stage1_marginals(bloch, n, phi)) if emit else {}
         return float(td_bloch(bloch, n, phi)), eps + float(td_error_bound(norm)), None, states
 
     def stage2():
-        v = half_wave_plate(config.hwp_angle)
-        growth = float(growth_bloch(bloch, bloch_rotation(v), phi))
-        if not emit:
-            return growth, eps, None, {}
-        rho_u = rotate(r, v)
-        return growth, eps, None, _marginals(rho_s_u_0=rho_u, rho_s_u_t=evolve(rho_u, phi))
+        plate = bloch_rotation(half_wave_plate(config.hwp_angle))
+        growth = float(growth_bloch(bloch, plate, phi))
+        # rho_u's marginals, before and after the evolution
+        states = (_qubit_states(("rho_s_u_0", "rho_s_u_t"), stage2_marginals(bloch, plate, phi)[1::2])
+                  if emit else {})
+        return growth, eps, None, states
 
-    return _cascade(config, digest, bool(norm < DEGENERACY_GAP), _marginals(rho_s_0=r) if emit else {},
-                    stage1, stage2)
+    states = {"rho_s_0": DensityMatrix(partial_trace(r, 0))} if emit else {}
+    return _cascade(config, digest, bool(degenerate), states, stage1, stage2)
 
 
 def td_stat(m: np.ndarray, md: np.ndarray, measure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -292,7 +289,7 @@ def stage2_marginals(r: np.ndarray, o: np.ndarray, phi) -> list[np.ndarray]:
 
 def _qubit_states(names, bloch) -> dict:
     """Validated qubit states of Bloch vectors (3,), by name, for the caller."""
-    return {k: DensityMatrix(bloch_matrix(v), (2,)) for k, v in zip(names, bloch)}
+    return {k: DensityMatrix(bloch_matrix(v)) for k, v in zip(names, bloch)}
 
 
 def _classify_simulated(rho: DensityMatrix, config: ProtocolConfig, digest: dict) -> ClassificationResult:
@@ -313,7 +310,7 @@ def _classify_simulated(rho: DensityMatrix, config: ProtocolConfig, digest: dict
     blocks = block_bloch(r)
     # Pi from full-state tomography, as the experiment extracts it
     rho_hat = sample_reconstructions(r, settings2, shots, 1, next(streams))[0]
-    n, norm = marginal_axis(rho_hat)
+    n, _, degenerate = marginal_axis(rho_hat)
     # the zero-discord surrogate of the estimate, for the stage-1 null
     rho_null = pinch(rho_hat, bloch_matrix(n))
 
@@ -338,5 +335,5 @@ def _classify_simulated(rho: DensityMatrix, config: ProtocolConfig, digest: dict
                   if config.emit_states else {})
         return float(growth_hat), config.threshold_sigma * sigma2, sigma2, states
 
-    states = {"rho_se_0_hat": DensityMatrix(rho_hat, (2, 2))} if config.emit_states else {}
-    return _cascade(config, digest, bool(norm < DEGENERACY_GAP), states, stage1, stage2)
+    states = {"rho_se_0_hat": DensityMatrix(rho_hat)} if config.emit_states else {}
+    return _cascade(config, digest, bool(degenerate), states, stage1, stage2)

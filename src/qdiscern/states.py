@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, is_finite_real, kron
+from .linalg import DensityMatrix, check_finite_real, json_field, kron
 
 FAMILIES = ("CC", "QC", "F")
 
@@ -33,7 +33,6 @@ def _constant(rows) -> np.ndarray:
 # The families' fixed operators. Each equals, byte for byte, its projector and
 # kron expression (tests/test_states.py checks this); literals keep numpy's
 # first-call costs out of the import.
-PROJ_H = _constant([[1, 0], [0, 0]])  # |H><H|
 PROJ_1 = _constant([[0, 0], [0, 1]])  # |1><1|
 PROJ_H0 = _constant([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])  # |H0><H0|
 PROJ_V1 = _constant([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]])  # |V1><V1|
@@ -63,8 +62,7 @@ class FamilyParams:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         for name, attr in (("lambda", "lam"), ("theta", "theta")):
             v = getattr(self, attr)
-            if not is_finite_real(v):
-                raise ValueError(f"not a finite number: {name} = {v!r}")
+            check_finite_real(name, v)
             object.__setattr__(self, attr, float(v))
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lambda must be in [0,1], got {self.lam}")
@@ -75,16 +73,16 @@ class FamilyParams:
 
     def build(self) -> DensityMatrix:
         if self.family == "QC":
-            return DensityMatrix(qc_matrices(self.lam, self.theta), (2, 2))
+            return DensityMatrix(qc_matrices(self.lam, self.theta))
         k0, k1 = _TERMS[self.family]
-        return DensityMatrix(self.lam * k0 + (1 - self.lam) * k1, (2, 2))
+        return DensityMatrix(self.lam * k0 + (1 - self.lam) * k1)
 
     def to_json(self) -> dict:
         return {"family": self.family, "lambda": self.lam, "theta": self.theta}
 
     @classmethod
     def from_json(cls, d: dict) -> "FamilyParams":
-        return cls(d["family"], d["lambda"], d.get("theta", 0.0))
+        return cls(json_field(d, "family"), json_field(d, "lambda"), d.get("theta", 0.0))
 
 
 def qc_matrices(lam, theta) -> np.ndarray:

@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (ESTIMATE_TRACE_TOL, HERM_TOL, PROB_DRIFT_TOL, DensityMatrix,
-                     check_finite, hermiticity_defect, kron)
+from .linalg import (ESTIMATE_TRACE_TOL, HERM_TOL, PROB_DRIFT_TOL, DensityMatrix, check_finite,
+                     check_state_shape, hermiticity_defect, is_count, json_field, kron)
 from .witness import _components, bloch_matrix, pauli_bloch, vector_norm
 
 _KETS = {
@@ -108,11 +108,6 @@ def default_settings(n_qubits: int) -> list[MeasurementSetting]:
     return list(defaults[n_qubits])
 
 
-def _is_count(n) -> bool:
-    """Whether n is a non-negative integer; bool is not a count."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 0
-
-
 @dataclass(frozen=True)
 class TomographyRecord:
     settings: tuple
@@ -121,10 +116,10 @@ class TomographyRecord:
     seed: int
 
     def __post_init__(self):
-        if not _is_count(self.shots_per_setting) or self.shots_per_setting == 0:
+        if not is_count(self.shots_per_setting) or self.shots_per_setting == 0:
             raise ValueError(f"shots_per_setting must be a positive integer, "
                              f"got {self.shots_per_setting!r}")
-        if not _is_count(self.seed):
+        if not is_count(self.seed):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         _qubits(self.settings)
         sequence = (tuple, list)
@@ -136,7 +131,7 @@ class TomographyRecord:
         for setting, c in zip(self.settings, self.counts):
             if len(c) != 2 ** len(setting.label):
                 raise ValueError("counts shape does not match settings")
-            if not all(map(_is_count, c)):
+            if not all(map(is_count, c)):
                 raise ValueError(f"counts must be non-negative integers, got {c!r}")
             if sum(c) != self.shots_per_setting:
                 raise ValueError("counts within a setting must sum to the shot budget")
@@ -158,8 +153,11 @@ class TomographyRecord:
 
     @classmethod
     def from_json(cls, d: dict) -> "TomographyRecord":
-        settings = tuple(MeasurementSetting(label) for label in d["settings"])
-        return cls(settings, d["counts"], d["shots"], d["seed"])
+        labels = json_field(d, "settings")
+        if not isinstance(labels, list):
+            raise ValueError(f"settings must be a list of setting labels, got {labels!r}")
+        settings = tuple(MeasurementSetting(label) for label in labels)
+        return cls(settings, json_field(d, "counts"), json_field(d, "shots"), json_field(d, "seed"))
 
 
 @dataclass(frozen=True)
@@ -282,9 +280,12 @@ def _multinomial(probs_per_setting, shots: int, n_samples: int, seed) -> list:
 
 def simulate_counts(rho, settings, shots: int, seed: int) -> TomographyRecord:
     """One experiment of `shots` per setting from the stream of `seed`, drawn
-    as a batch of one of `sample_frequencies`. `rho` is a DensityMatrix or a (d, d) matrix."""
-    if shots <= 0:
-        raise ValueError("shots must be positive")
+    as a batch of one of `sample_frequencies`. `rho` is a DensityMatrix or a (d, d) matrix;
+    `seed` is a non-negative integer, checked before any draw."""
+    if not is_count(shots) or shots == 0:
+        raise ValueError(f"shots must be positive and an integer, got {shots!r}")
+    if not is_count(seed):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     rho_mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
     n_qubits = _qubits(settings)
     if 2 ** n_qubits != rho_mat.shape[-1]:
@@ -345,15 +346,14 @@ def _physical(h: np.ndarray) -> np.ndarray:
 
 def project_to_physical(h: np.ndarray) -> DensityMatrix:
     """Nearest density matrix: clip negative eigenvalue mass, keep the trace."""
-    h = np.asarray(h, dtype=complex)
+    h = check_state_shape(np.asarray(h, dtype=complex), "project_to_physical's input")
     check_finite(h, "matrix", ValueError)
     if hermiticity_defect(h) > HERM_TOL:
         raise ValueError("project_to_physical expects a Hermitian matrix")
     tr = h.trace().real
     if abs(tr - 1.0) > ESTIMATE_TRACE_TOL:
         raise ValueError(f"trace {tr} too far from 1")
-    d = h.shape[0]
-    return DensityMatrix(_physical(h), (2, 2) if d == 4 else (d,))
+    return DensityMatrix(_physical(h))
 
 
 def reconstruct_batch(settings, freqs: np.ndarray) -> np.ndarray:
@@ -393,10 +393,9 @@ def reconstruct(record: TomographyRecord, bootstrap_samples: int = 200) -> Recon
     """Linear inversion + physicality projection, with parametric bootstrap
     per-entry standard errors (none at bootstrap_samples = 0) drawn from the
     first child of SeedSequence(record.seed): the record fixes both alone."""
-    if not _is_count(bootstrap_samples):
+    if not is_count(bootstrap_samples):
         raise ValueError(f"bootstrap_samples must be a non-negative integer, got {bootstrap_samples!r}")
-    mat = reconstruct_batch(record.settings, record.frequencies())
-    estimate = DensityMatrix(mat, (2,) if _qubits(record.settings) == 1 else (2, 2))
+    estimate = DensityMatrix(reconstruct_batch(record.settings, record.frequencies()))
     std_errors = None
     if bootstrap_samples > 0:
         replicas = sample_reconstructions(

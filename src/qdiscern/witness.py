@@ -69,6 +69,7 @@ from .linalg import (
     DensityMatrix,
     NumericalError,
     check_finite,
+    check_finite_real,
     lift,
     partial_trace,
     system_unitary,
@@ -168,24 +169,24 @@ def evolved(w0, w1, phi) -> tuple:
     return x0 + (cos * x1 + sin * y1), y0 + (cos * y1 - sin * x1), z0 + z1
 
 
-def marginal_axis(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def marginal_axis(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The unit Bloch axis n (3, ...) of the leading eigenvector of each
-    system marginal of stacked states (..., 4, 4), and |b| (...), that
-    marginal's eigenvalue gap, from `bloch_axis`."""
+    system marginal of stacked states (..., 4, 4), |b| (...), that
+    marginal's eigenvalue gap, and where it is degenerate, from `bloch_axis`."""
     m00, _, m10, m11 = _components(partial_trace(rho, 0).reshape(*rho.shape[:-2], 4))
-    n, norm = bloch_axis(pauli_bloch(m00, m10, m11))
-    return np.array(n), norm
+    n, norm, degenerate = bloch_axis(pauli_bloch(m00, m10, m11))
+    return np.array(n), norm, degenerate
 
 
-def bloch_axis(b) -> tuple[tuple, np.ndarray]:
-    """The unit axis n = b / |b|, as three components, and |b| of a Bloch
-    vector b (3, ...). Where |b| < DEGENERACY_GAP the marginal is degenerate
-    and n = z, the axis of |H><H|, by convention."""
+def bloch_axis(b) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The unit axis n = b / |b|, as three components, |b| and the degenerate
+    flag of a Bloch vector b (3, ...), the one test for a degenerate marginal:
+    where |b| < DEGENERACY_GAP, n = z, the axis of |H><H|, by convention."""
     bx, by, bz = b
     norm = vector_norm(b)
     degenerate = norm < DEGENERACY_GAP
     den = np.where(degenerate, np.inf, norm)  # b / inf = 0 on the degenerate branch
-    return (bx / den, by / den, bz / den + degenerate), norm
+    return (bx / den, by / den, bz / den + degenerate), norm, degenerate
 
 
 def bloch_matrix(r) -> np.ndarray:
@@ -302,30 +303,34 @@ def growth_values(rho: np.ndarray, v: np.ndarray, phi) -> np.ndarray:
 def discord_T(rho_se: DensityMatrix) -> WitnessReport:
     """Trace distance between rho and its dephased version."""
     r = two_qubit(rho_se)
-    n, norm = marginal_axis(r)
+    n, _, degenerate = marginal_axis(r)
     return WitnessReport(
         value=float(discord_values(r, n)),
         kind=DISCORD_QUANTIFIER,
-        degenerate_basis=bool(norm < DEGENERACY_GAP),
+        degenerate_basis=bool(degenerate),
     )
 
 
 def witness_Td(rho_se: DensityMatrix, phi: float) -> WitnessReport:
     """Trace distance of the system marginals of rho and its dephased
-    version after the phase-gate evolution at angle phi."""
+    version after the phase-gate evolution at angle phi, a finite real
+    number (ValueError otherwise)."""
+    check_finite_real("phi", phi)
     r = two_qubit(rho_se)
-    n, norm = marginal_axis(r)
+    n, _, degenerate = marginal_axis(r)
     return WitnessReport(
         value=float(td_bloch(block_bloch(r), n, phi)),
         kind=DISCORD_WITNESS,
         inputs_digest={"phi": phi},
-        degenerate_basis=bool(norm < DEGENERACY_GAP),
+        degenerate_basis=bool(degenerate),
     )
 
 
 def witness_growth(rho_se: DensityMatrix, v: np.ndarray, phi: float) -> WitnessReport:
     """T_u(t) - T_u(0): growth of the system-marginal trace distance between
-    rho and (V x 1) rho (V x 1)^dagger under the phase-gate evolution."""
+    rho and (V x 1) rho (V x 1)^dagger under the phase-gate evolution at
+    angle phi, a finite real number (ValueError otherwise)."""
+    check_finite_real("phi", phi)
     return WitnessReport(
         value=float(growth_values(two_qubit(rho_se), system_unitary(v), phi)),
         kind=CORRELATION_WITNESS,

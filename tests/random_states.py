@@ -5,12 +5,12 @@ import numpy as np
 from qdiscern.linalg import DensityMatrix
 
 
-def random_density(rng: np.random.Generator, dim: int, dims=None) -> DensityMatrix:
-    """Random full-rank state (Ginibre construction)."""
+def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
+    """Random full-rank state (Ginibre construction): one qubit at dim 2, two at dim 4."""
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
     m /= m.trace()
-    return DensityMatrix(m, dims if dims is not None else (dim,))
+    return DensityMatrix(m)
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

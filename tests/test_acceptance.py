@@ -104,7 +104,7 @@ def test_reference_verdicts():
 def test_dephasing_properties():
     rng = np.random.default_rng(77)
     for _ in range(1000):
-        rho = random_density(rng, 4, (2, 2))
+        rho = random_density(rng, 4)
         out = channels.dephase(rho, system_eigenprojector(rho))
         assert np.abs(partial_trace(out, 0).mat - partial_trace(rho, 0).mat).max() < 1e-12
         assert np.abs(partial_trace(out, 1).mat - partial_trace(rho, 1).mat).max() < 1e-12

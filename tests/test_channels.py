@@ -24,7 +24,7 @@ from random_states import random_density
 
 
 def rand_state(rng):
-    return random_density(rng, 4, (2, 2))
+    return random_density(rng, 4)
 
 
 class TestProjectorType:

@@ -21,6 +21,7 @@ import oracle
 from qdiscern import channels, cli, kernels, states, witness
 from qdiscern.channels import half_wave_plate
 from qdiscern.cli import SWEEP_CHUNK_POINTS, SWEEP_QUANTITIES, main
+from qdiscern.protocol import ProtocolConfig
 from qdiscern.states import qc_matrices
 from qdiscern.witness import discord_values, growth_values
 
@@ -74,6 +75,9 @@ class TestClassify:
                            "--mode", "exact", "--emit-states")
         states = json.loads(out)["intermediate_states"]
         assert "rho_s_0" in states
+        # the emitted marginals are one-qubit states, whose JSON keeps "dims": [2]
+        assert sorted(states) == ["rho_s_0", "rho_s_d_t", "rho_s_t", "rho_s_u_0", "rho_s_u_t"]
+        assert all(state["dims"] == [2] for state in states.values())
 
     def test_missing_lambda_is_exit_2(self, capsys):
         code, _, err = run(capsys, "classify", "--family", "cc", "--mode", "exact")
@@ -273,6 +277,18 @@ class TestSweep:
         lines = out.splitlines()
         assert lines[1] == "lambda,theta,phi,T,Td,growth"
         assert len(lines) == 2 + 4
+
+    def test_header_defaults_are_the_protocol_defaults(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, "sweep", "--lambda-grid", "0.2:0.8:2", "--theta-grid", "0.3:1.2:2")
+        header = json.loads(out.splitlines()[0][2:])
+        defaults = ProtocolConfig()
+        assert code == 0 and (header["phi"], header["hwp_angle"]) == (defaults.phi, defaults.hwp_angle)
+        # one default per option: sweep reads ProtocolConfig's, not a copy of them
+        monkeypatch.setitem(cli._CONFIG_DEFAULTS, "phi", 2.0)
+        monkeypatch.setitem(cli._CONFIG_DEFAULTS, "hwp_angle", 0.3)
+        _, out, _ = run(capsys, "sweep", "--lambda-grid", "0.2:0.8:2", "--theta-grid", "0.3:1.2:2")
+        header = json.loads(out.splitlines()[0][2:])
+        assert (header["phi"], header["hwp_angle"]) == (2.0, 0.3)
 
     def test_zero_line_samples_blind(self, capsys):
         from qdiscern.witness import zero_line_lambda

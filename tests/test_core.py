@@ -38,7 +38,7 @@ def states(draw):
     if kind == "f":
         return oracle.fact(draw(lams))
     seed = draw(st.integers(0, 2**32 - 1))
-    return random_density(np.random.default_rng(seed), 4, (2, 2)).mat
+    return random_density(np.random.default_rng(seed), 4).mat
 
 
 stacks = st.lists(states(), min_size=1, max_size=6).map(np.array)
@@ -251,7 +251,7 @@ def test_a_verdict_past_its_margin_survives_roundoff(rho, seed, phi):
     # beta with growth off eps by more than its O(u) rounding, fixes the
     # verdict for every state within three units of roundoff of rho.
     config = ProtocolConfig(phi=phi)
-    res = classify(DensityMatrix(rho, (2, 2)), config)
+    res = classify(DensityMatrix(rho), config)
     td, threshold = res.td_report.value, res.thresholds_used["stage1_threshold"]
     beta = threshold - config.exact_epsilon
     if res.verdict == VERDICT_QC:
@@ -260,7 +260,7 @@ def test_a_verdict_past_its_margin_survives_roundoff(rho, seed, phi):
               and abs(res.growth_report.value - config.exact_epsilon) > 1e-13):
         return
     for nearby in _perturbations(rho, seed):
-        assert classify(DensityMatrix(nearby, (2, 2)), config).verdict == res.verdict
+        assert classify(DensityMatrix(nearby), config).verdict == res.verdict
 
 
 def test_exact_classify_runs_no_eigh(monkeypatch):
@@ -274,7 +274,7 @@ def test_exact_classify_runs_no_eigh(monkeypatch):
     verdicts = [classify(s, ProtocolConfig(emit_states=emit)).verdict for s in states for emit in (False, True)]
     assert verdicts == ["QC", "QC", "CC", "CC", "F", "F", "CC", "CC", "F", "F"]
     # nor do T, on these states and on one with coherent blocks, and the sweep kernels
-    states.append(random_density(np.random.default_rng(3), 4, (2, 2)))
+    states.append(random_density(np.random.default_rng(3), 4))
     assert [discord_T(s).value for s in states] == list(discord_values(np.array([s.mat for s in states])))
     lams, thetas = np.linspace(0, 1, 7), np.linspace(0, np.pi / 2, 5)
     for grid in (kernels.t_qc_grid(lams, thetas), kernels.td_qc_grid(lams, thetas, np.pi),

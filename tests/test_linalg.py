@@ -21,7 +21,7 @@ from random_states import random_density, random_unitary
 
 
 def diag_state(*probs):
-    return DensityMatrix(np.diag(probs).astype(complex), (len(probs),))
+    return DensityMatrix(np.diag(probs).astype(complex))
 
 
 class TestKron:
@@ -47,7 +47,7 @@ class TestPartialTrace:
         for _ in range(10):
             sigma = random_density(rng, 2)
             tau = random_density(rng, 2)
-            joint = DensityMatrix(kron(sigma, tau), (2, 2))
+            joint = DensityMatrix(kron(sigma, tau))
             assert_allclose(partial_trace(joint, 0).mat, sigma.mat, atol=1e-12)
             assert_allclose(partial_trace(joint, 1).mat, tau.mat, atol=1e-12)
 
@@ -97,25 +97,25 @@ class TestTraceDistance:
     def test_symmetry_and_triangle(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            a, b, c = (random_density(rng, 4, (2, 2)) for _ in range(3))
+            a, b, c = (random_density(rng, 4) for _ in range(3))
             assert_allclose(trace_distance(a, b), trace_distance(b, a), atol=1e-12)
             assert trace_distance(a, c) <= trace_distance(a, b) + trace_distance(b, c) + 1e-12
 
     def test_unitary_invariance(self):
         rng = np.random.default_rng(12)
         for _ in range(30):
-            a = random_density(rng, 4, (2, 2))
-            b = random_density(rng, 4, (2, 2))
+            a = random_density(rng, 4)
+            b = random_density(rng, 4)
             u = random_unitary(rng, 4)
-            ua = DensityMatrix(u @ a.mat @ u.conj().T, (2, 2))
-            ub = DensityMatrix(u @ b.mat @ u.conj().T, (2, 2))
+            ua = DensityMatrix(u @ a.mat @ u.conj().T)
+            ub = DensityMatrix(u @ b.mat @ u.conj().T)
             assert abs(trace_distance(ua, ub) - trace_distance(a, b)) < 1e-9
 
     def test_contraction_under_partial_trace(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
-            a = random_density(rng, 4, (2, 2))
-            b = random_density(rng, 4, (2, 2))
+            a = random_density(rng, 4)
+            b = random_density(rng, 4)
             assert trace_distance(partial_trace(a, 1), partial_trace(b, 1)) \
                 <= trace_distance(a, b) + 1e-9
 
@@ -134,23 +134,28 @@ class TestDensityMatrixValidation:
     def test_rejects_non_hermitian(self):
         m = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix(m, (2,))
+            DensityMatrix(m)
 
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(np.eye(2), (2,))
+            DensityMatrix(np.eye(2))
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="positive"):
-            DensityMatrix(np.diag([1.2, -0.2]).astype(complex), (2,))
+            DensityMatrix(np.diag([1.2, -0.2]).astype(complex))
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
-            DensityMatrix(np.full((2, 3), 1 / 3), (2,))
+            DensityMatrix(np.full((2, 3), 1 / 3))
 
-    def test_rejects_bad_dims(self):
-        with pytest.raises(ValueError, match="dims"):
-            DensityMatrix(np.eye(4) / 4, (2, 3))
+    @pytest.mark.parametrize("n", [1, 3, 6, 8])
+    def test_rejects_a_shape_other_than_2x2_or_4x4(self, n):
+        with pytest.raises(ValueError, match="2x2 or 4x4"):
+            DensityMatrix(np.eye(n) / n)
+
+    def test_dims_follow_from_the_shape(self):
+        assert DensityMatrix(np.eye(2) / 2).dims == (2,)
+        assert DensityMatrix(np.eye(4) / 4).dims == (2, 2)
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0, np.nan)], ids=["nan", "inf", "imag-nan"])
     def test_rejects_non_finite_entries(self, entry):
@@ -158,7 +163,7 @@ class TestDensityMatrixValidation:
         m = np.eye(4, dtype=complex) / 4
         m[2, 3] = m[3, 2] = entry
         with pytest.raises(ValueError, match="not finite"):
-            DensityMatrix(m, (2, 2))
+            DensityMatrix(m)
         blob = json.loads(json.dumps(matrix_to_json(m)))
         with pytest.raises(ValueError, match="not finite"):
             DensityMatrix.from_json(dict(blob, dims=[2, 2]))
@@ -187,6 +192,43 @@ class TestSerialization:
         back = DensityMatrix.from_json(json.loads(json.dumps(rho.to_json())))
         assert np.array_equal(back.mat, rho.mat)
         assert back.dims == rho.dims
+
+    def test_from_json_rejects_dims_that_do_not_match_the_shape(self):
+        blob = json.loads(json.dumps(make_cc(0.5).to_json()))
+        assert blob["dims"] == [2, 2]
+        for dims in ([4], [2], [2, 2, 1], "22", None):
+            with pytest.raises(ValueError, match="dims"):
+                DensityMatrix.from_json(dict(blob, dims=dims))
+        qubit = DensityMatrix(np.eye(2) / 2).to_json()
+        assert qubit["dims"] == [2]
+        with pytest.raises(ValueError, match="dims"):
+            DensityMatrix.from_json(dict(qubit, dims=[2, 2]))
+
+    @pytest.mark.parametrize("key", ["rows", "cols", "entries", "dims"])
+    def test_from_json_names_a_missing_key(self, key):
+        blob = make_cc(0.5).to_json()
+        del blob[key]
+        with pytest.raises(ValueError, match=key):
+            DensityMatrix.from_json(blob)
+
+    def test_from_json_rejects_an_empty_or_non_object_blob(self):
+        with pytest.raises(ValueError, match="rows"):
+            DensityMatrix.from_json({})
+        with pytest.raises(ValueError, match="JSON object"):
+            DensityMatrix.from_json([])
+
+    @pytest.mark.parametrize("entry", ["x", [1.0], [1.0, 0.0, 0.0], ["1", 0.0], [None, 0.0], [True, 0.0], None],
+                             ids=["string", "short", "long", "string-part", "null-part", "bool-part", "null"])
+    def test_from_json_names_a_malformed_entry(self, entry):
+        blob = make_cc(0.5).to_json()
+        blob["entries"][5] = entry
+        with pytest.raises(ValueError, match=r"entries\[5\]"):
+            DensityMatrix.from_json(blob)
+
+    @pytest.mark.parametrize("rows", ["4", 4.0, None, True, -4])
+    def test_from_json_rejects_a_size_that_is_not_a_count(self, rows):
+        with pytest.raises(ValueError, match="rows and cols"):
+            DensityMatrix.from_json(dict(make_cc(0.5).to_json(), rows=rows))
 
     def test_entries_length_checked(self):
         with pytest.raises(ValueError):

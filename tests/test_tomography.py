@@ -29,8 +29,8 @@ from qdiscern.tomography import (
 from qdiscern.witness import bloch_matrix, pauli_bloch
 from random_states import random_density
 
-KET_H_STATE = DensityMatrix(np.diag([1.0, 0.0]).astype(complex), (2,))
-MIXED = DensityMatrix(np.eye(2, dtype=complex) / 2, (2,))
+KET_H_STATE = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
+MIXED = DensityMatrix(np.eye(2, dtype=complex) / 2)
 PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
@@ -136,6 +136,32 @@ class TestSimulateCounts:
         with pytest.raises(ValueError, match="seed"):
             TomographyRecord.from_json({"settings": ["Z"], "counts": [[5, 5]], "shots": 10, "seed": seed})
 
+    @pytest.mark.parametrize("seed", [None, True, 1.5, "3", -1, np.random.SeedSequence(3)],
+                             ids=["null", "boolean", "fractional", "string", "negative", "seed-sequence"])
+    def test_invalid_seed_rejected_before_any_draw(self, seed, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew counts for an invalid seed")
+
+        monkeypatch.setattr(tomography, "_multinomial", no_draw)
+        with pytest.raises(ValueError, match="seed"):
+            simulate_counts(MIXED, default_settings(1), 100, seed)
+
+    @pytest.mark.parametrize("settings_", ["ZXY", None, 3, {"Z": 1}], ids=["string", "null", "int", "object"])
+    def test_settings_that_are_not_a_label_list_rejected_from_json(self, settings_):
+        with pytest.raises(ValueError, match="settings"):
+            TomographyRecord.from_json({"settings": settings_, "counts": [[5, 5]] * 3, "shots": 10, "seed": 0})
+
+    @pytest.mark.parametrize("key", ["settings", "counts", "shots", "seed"])
+    def test_missing_key_named_from_json(self, key):
+        blob = {"settings": ["Z"], "counts": [[5, 5]], "shots": 10, "seed": 0}
+        del blob[key]
+        with pytest.raises(ValueError, match=key):
+            TomographyRecord.from_json(blob)
+
+    def test_empty_blob_rejected_from_json(self):
+        with pytest.raises(ValueError, match="settings"):
+            TomographyRecord.from_json({})
+
     def test_numpy_integers_stored_as_python_ints(self):
         rec = simulate_counts(make_cc(0.64), default_settings(2), np.int64(1000), np.int64(3))
         assert type(rec.seed) is int and type(rec.shots_per_setting) is int
@@ -145,7 +171,7 @@ class TestSimulateCounts:
         with pytest.raises(ValueError, match="counts shape"):
             TomographyRecord.from_json({"settings": ["Z"], "counts": [[5, 3, 2]], "shots": 10, "seed": 0})
 
-    @pytest.mark.parametrize("shots", [0, -5])
+    @pytest.mark.parametrize("shots", [0, -5, 1.5, "10", True])
     def test_non_positive_shots_rejected(self, shots):
         with pytest.raises(ValueError, match="shots must be positive"):
             simulate_counts(MIXED, default_settings(1), shots, 0)
@@ -376,6 +402,11 @@ class TestProjectToPhysical:
         with pytest.raises(ValueError, match="not finite"):
             project_to_physical(h)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 3), (1, 1), (8, 8), (4,)])
+    def test_rejects_a_shape_other_than_2x2_or_4x4_up_front(self, shape):
+        with pytest.raises(ValueError, match="2x2 or 4x4"):
+            project_to_physical(np.full(shape, 1 / shape[0], dtype=complex))
+
     def test_valid_state_unchanged(self):
         rho = make_qc(0.6, 1.0)
         out = project_to_physical(rho.mat)
@@ -388,7 +419,7 @@ class TestProjectToPhysical:
     def test_random_perturbations_become_physical(self):
         rng = np.random.default_rng(52)
         for _ in range(50):
-            rho = random_density(rng, 4, (2, 2))
+            rho = random_density(rng, 4)
             noise = rng.normal(scale=0.02, size=(4, 4))
             h = rho.mat + (noise + noise.T) / 2
             h -= np.eye(4) * (h.trace().real - 1.0) / 4

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 import oracle
 from qdiscern import kernels, witness
-from qdiscern.channels import _gate_diagonal, eigenprojectors, half_wave_plate
+from qdiscern.channels import _gate_diagonal, eigenprojectors, half_wave_plate, phase_gate, phase_gate_evolve
 from qdiscern.linalg import (DEGENERACY_GAP, DensityMatrix, NumericalError, kron, partial_trace,
                              trace_distances, trace_norm)
 from qdiscern.states import make_cc, make_f, make_qc, qc_matrices
@@ -48,17 +48,17 @@ class TestDiscordT:
     def test_matches_oracle_on_random_states(self):
         rng = np.random.default_rng(31)
         for _ in range(30):
-            rho = random_density(rng, 4, (2, 2))
+            rho = random_density(rng, 4)
             assert abs(discord_T(rho).value - oracle.discord(rho.mat)) < 1e-9
 
     def test_rejects_a_one_qubit_state(self):
         with pytest.raises(ValueError, match="2x2-subsystem"):
-            discord_T(DensityMatrix(np.eye(2) / 2, (2,)))
+            discord_T(DensityMatrix(np.eye(2) / 2))
 
     def test_value_in_unit_interval(self):
         rng = np.random.default_rng(32)
         for _ in range(20):
-            v = discord_T(random_density(rng, 4, (2, 2))).value
+            v = discord_T(random_density(rng, 4)).value
             assert 0.0 <= v <= 1.0
 
 
@@ -79,7 +79,7 @@ class TestWitnessTd:
     def test_zero_phase_sees_nothing(self):
         rng = np.random.default_rng(33)
         for _ in range(10):
-            rho = random_density(rng, 4, (2, 2))
+            rho = random_density(rng, 4)
             assert witness_Td(rho, 0.0).value < 1e-12
 
     def test_bounded_by_discord(self):
@@ -107,7 +107,7 @@ class TestWitnessTd:
 def _scaling_state(kind: str, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if kind == "ginibre":
-        return random_density(rng, 4, (2, 2)).mat
+        return random_density(rng, 4).mat
     if kind == "pure":
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         return np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
@@ -163,7 +163,7 @@ class TestWitnessGrowth:
     def test_identity_rotation_gives_zero(self):
         rng = np.random.default_rng(35)
         for phi in (0.3, np.pi):
-            rho = random_density(rng, 4, (2, 2))
+            rho = random_density(rng, 4)
             assert abs(witness_growth(rho, np.eye(2), phi).value) < 1e-12
 
     def test_rejects_a_unitary_on_the_whole_state(self):
@@ -240,13 +240,28 @@ class TestZeroLine:
             zero_line_lambda(theta)
 
 
-class TestNonFiniteOutput:
-    def test_nan_phase_is_a_numerical_error(self):
+BAD_PHASES = {"nan": float("nan"), "inf": float("inf"), "numpy-nan": np.float64("nan"), "bool": True,
+              "string": "1", "none": None, "array": np.array([1.0])}
+
+
+class TestPhaseValidation:
+    """A phase that is not a finite real number is invalid input (ValueError,
+    the exit-2 class), rejected before any arithmetic, not a NumericalError
+    or a report that records it."""
+
+    @pytest.mark.parametrize("phi", BAD_PHASES.values(), ids=BAD_PHASES.keys())
+    def test_non_finite_or_non_real_phase_is_a_value_error(self, phi):
         rho = make_qc(0.7, np.pi / 4)
-        with pytest.raises(NumericalError, match="finite"):
-            witness_Td(rho, float("nan"))
-        with pytest.raises(NumericalError, match="finite"):
-            witness_growth(rho, half_wave_plate(np.pi / 8), float("nan"))
+        calls = [lambda: witness_Td(rho, phi), lambda: witness_growth(rho, half_wave_plate(np.pi / 8), phi),
+                 lambda: phase_gate(phi), lambda: phase_gate_evolve(rho, phi)]
+        for call in calls:
+            with pytest.raises(ValueError, match="phi"):
+                call()
+
+    def test_a_finite_real_phase_is_recorded_as_given(self):
+        rho = make_qc(0.7, np.pi / 4)
+        assert witness_Td(rho, 2).inputs_digest == {"phi": 2}
+        assert witness_growth(rho, half_wave_plate(np.pi / 8), np.float64(1.5)).inputs_digest == {"phi": 1.5}
 
 
 class TestWitnessReport:
@@ -256,12 +271,12 @@ class TestWitnessReport:
         # is the consistency check.
         rng = np.random.default_rng(36)
         for _ in range(50):
-            discord_T(random_density(rng, 4, (2, 2)))
+            discord_T(random_density(rng, 4))
 
     def test_discord_cross_check_catches_a_wrong_lift(self, monkeypatch):
         # 1 x Pi instead of Pi x 1: the lifted form no longer matches ||C||_F
         monkeypatch.setattr(witness, "lift", lambda op: kron(np.eye(2), op))
-        rho = random_density(np.random.default_rng(37), 4, (2, 2))
+        rho = random_density(np.random.default_rng(37), 4)
         with pytest.raises(NumericalError, match="discord forms disagree"):
             discord_T(rho)
 
@@ -342,7 +357,7 @@ def _ginibre_case(seed, n, stacked_phi, stacked_v):
     """n Ginibre states, and a phase and a system unitary that are each
     shared or one per state."""
     rng = np.random.default_rng(seed)
-    rho = np.array([random_density(rng, 4, (2, 2)).mat for _ in range(n)])
+    rho = np.array([random_density(rng, 4).mat for _ in range(n)])
     phi = rng.uniform(-10, 10, n) if stacked_phi else float(rng.uniform(-10, 10))
     v = (np.array([random_unitary(rng, 2) for _ in range(n)]) if stacked_v
          else half_wave_plate(rng.uniform(0, np.pi)))
@@ -415,20 +430,22 @@ class TestStackedCalls:
         v = vs if stacked_v else half_wave_plate(float(phis[0]))
         td = witness.td_values(rho, phi)
         growth = witness.growth_values(rho, v, phi)
-        n_hat, norm = witness.marginal_axis(rho)
+        n_hat, norm, degenerate = witness.marginal_axis(rho)
         for i in range(n):
             phi_i = phi[i] if stacked_phi else phi
             v_i = v[i] if stacked_v else v
             assert np.array_equal(witness.td_values(rho[i], phi_i), td[i])
             assert np.array_equal(witness.growth_values(rho[i], v_i, phi_i), growth[i])
-            one_axis, one_norm = witness.marginal_axis(rho[i])
+            one_axis, one_norm, one_degenerate = witness.marginal_axis(rho[i])
             assert np.array_equal(one_axis, n_hat[:, i]) and np.array_equal(one_norm, norm[i])
+            assert one_degenerate == degenerate[i]
 
     def test_degenerate_marginals_take_the_z_axis(self):
         rho = np.array([make_f(0.5).mat, np.eye(4) / 4, make_cc(0.5).mat])
-        n_hat, norm = witness.marginal_axis(rho)
+        n_hat, norm, degenerate = witness.marginal_axis(rho)
         assert np.array_equal(n_hat, np.array([[0.0] * 3, [0.0] * 3, [1.0] * 3]))
         assert np.array_equal(norm, [0.0, 0.0, 0.0])
+        assert degenerate.tolist() == [True] * 3
         assert np.array_equal(witness.bloch_matrix(n_hat[:, 0]), np.diag([1.0, 0.0]))
 
 
@@ -487,7 +504,7 @@ class TestAccuracyBesideTheDegenerateCorner:
             rho = qc_matrices(lam, np.pi / 2)
             value = float(witness.td_values(rho, phi))
             assert abs(value - exact_td(rho, phi)) <= 1e-15 * value, lam
-            t = discord_T(DensityMatrix(rho, (2, 2))).value
+            t = discord_T(DensityMatrix(rho)).value
             assert abs(t - exact_t(rho)) <= 1e-15 * t, lam
             # the kernel evaluates Td at (lam, theta) rather than at the rounded
             # entries of the state, which differ from it within Td's bound
